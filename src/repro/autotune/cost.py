@@ -26,6 +26,7 @@ from ..gpu.calibration import CalibrationProfile, default_profile
 from ..gpu.device import DeviceSpec, get_device
 from ..gpu.kernel import LaunchConfig
 from ..gpu.perfmodel import single_tile_costs, single_tile_timing
+from ..kernels.dist_calc import block_rows
 from ..precision.modes import policy_for
 
 __all__ = ["HostCostModel", "roofline_breakdown", "modeled_device_seconds"]
@@ -119,9 +120,15 @@ class HostCostModel:
         packing, shear views and the chained-GEMM dispatch cost more
         python per block).  ``mirror`` prices a symmetric self-join tile
         whose panel is reduced twice (column- and row-wise) by scaling
-        the per-cell rate with :data:`MIRROR_CELL_FACTOR`.
+        the per-cell rate with :data:`MIRROR_CELL_FACTOR`.  The vector
+        path blocks rows the way ``run_tile`` does
+        (:func:`~repro.kernels.dist_calc.block_rows`): ``row_block`` rows
+        for square and wide tiles, budget-sized column-walked blocks for
+        tiles taller than wide.
         """
         c = self.calibration
+        if backend != "tensor_core":
+            row_block = block_rows(rows, cols, d, row_block)
         steps = math.ceil(rows / max(row_block, 1))
         penalty = self._spill_penalty(row_block, cols * d, mode, backend)
         cells = float(rows) * cols * d

@@ -52,8 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gpus", type=int, default=1)
     p.add_argument(
         "--row-block", type=int, default=None, metavar="B",
-        help="main-loop rows per kernel super-step (default 32; "
-        "1 = original per-row execution; any value is bit-exact)",
+        help="main-loop rows per kernel super-step of square and wide "
+        "tiles, and the floor for tiles taller than wide, which take "
+        "budget-sized column-walked blocks (default 32; 1 = original "
+        "per-row execution; any value is bit-exact)",
     )
     p.add_argument(
         "--tile-workers", type=int, default=None, metavar="W",

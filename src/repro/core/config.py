@@ -108,10 +108,16 @@ class RunConfig:
     #: Rows of the main loop executed per super-step: ``dist_calc`` keeps
     #: its sequential QT recurrence but fills ``row_block`` consecutive
     #: row planes into one workspace, and the column-independent
-    #: sort/scan/update stages then run once per block.  Bit-exact for
-    #: any value (1 = the per-row path); purely a host-emulation batching
-    #: knob, so it changes neither the numerics nor the modelled costs.
-    #: 32 keeps the block workspace cache-resident and measures fastest.
+    #: sort/scan/update stages then run once per block.  The recurrence
+    #: is diagonal (QT[i,j] needs only QT[i-1,j-1]), so a block may be
+    #: walked along columns with the identical per-element FMA sequence:
+    #: tiles taller than wide take budget-sized, column-walked blocks
+    #: (``repro.kernels.dist_calc.block_rows``), for which ``row_block``
+    #: is a floor; square and wide tiles take exactly ``row_block`` rows.
+    #: Bit-exact for any value (1 = the per-row path); purely a
+    #: host-emulation batching knob, so it changes neither the numerics
+    #: nor the modelled costs.  32 keeps the block workspace
+    #: cache-resident and measures fastest.
     row_block: int = 32
     #: Compute the window-statistics planes (mu/inv/df/dg) once per plan
     #: and batch the per-tile seed dots, instead of restarting the full

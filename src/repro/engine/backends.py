@@ -28,6 +28,7 @@ This module is also the home of the tile *primitive* itself
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
@@ -40,7 +41,7 @@ from ..gpu.kernel import KernelCost, LaunchConfig
 from ..gpu.perfmodel import TileTiming, kernel_time, single_tile_timing
 from ..gpu.simulator import SimulatedGPU, schedule_tile_timing
 from ..gpu.stream import Stream, Timeline
-from ..kernels.dist_calc import DistCalcKernel
+from ..kernels.dist_calc import DistCalcKernel, block_rows
 from ..kernels.precalc import PrecalcKernel, PreparedPrecalc
 from ..kernels.sort_scan import SortScanKernel
 from ..kernels.sort_scan_batch import BatchSortScanKernel
@@ -113,30 +114,38 @@ def _cached_arange(n: int) -> np.ndarray:
 
 
 class WorkspacePool:
-    """Reusable host-side kernel workspaces, one buffer per (shape, dtype).
+    """Reusable host-side kernel workspaces, one buffer per dtype.
 
     The row-blocked main loop leases its ``(d, B, n_q)`` QT block buffer
     from here, amortising the allocation across blocks, rows *and* tiles
-    executed by the same worker.  :meth:`lease` is a context manager: the
-    buffer returns to the pool on every exit path, so an injected fault
-    or device OOM mid-tile can neither leak the buffer nor leave it
-    checked out.  Pools are per-worker (see ``NumericBackend``), so no
-    locking is needed.
+    executed by the same worker.  Each dtype keeps one flat buffer, grown
+    to the largest request, and a lease is a reshaped prefix view of it,
+    so a worker whose block shapes keep changing (a stream's band tiles
+    widen on every append) still holds one buffer per dtype.  A request
+    of the last leased shape gets the same view back.  :meth:`lease` is
+    a context manager: the buffer returns to the pool on every exit path,
+    so an injected fault or device OOM mid-tile can neither leak the
+    buffer nor leave it checked out.  Pools are per-worker (see
+    ``NumericBackend``), so no locking is needed.
     """
 
     def __init__(self):
-        self._free: dict[tuple, np.ndarray] = {}
+        self._free: dict[np.dtype, np.ndarray] = {}
 
     @contextmanager
     def lease(self, shape: tuple[int, ...], dtype):
-        key = (tuple(shape), np.dtype(dtype))
-        buf = self._free.pop(key, None)
-        if buf is None:
-            buf = np.empty(key[0], dtype=key[1])
+        shape, dtype = tuple(shape), np.dtype(dtype)
+        buf = self._free.pop(dtype, None)
+        if buf is None or buf.shape != shape:
+            size = math.prod(shape)
+            base = None if buf is None else buf.base
+            if base is None or base.size < size:
+                base = np.empty(size, dtype=dtype)
+            buf = base[:size].reshape(shape)
         try:
             yield buf
         finally:
-            self._free[key] = buf
+            self._free[dtype] = buf
 
 
 #: Maps kernel class cost names to the paper's kernel labels.
@@ -199,10 +208,14 @@ def run_tile(
     workspace (sequential recurrence, no per-row temporaries), the
     column-independent sort/scan runs once per block on the reshaped
     ``(d, B*n_q)`` plane and the update reduces the block before one
-    merge into the running profile.  Output, kernel costs and therefore
-    modelled timings are bit-for-bit identical to the per-row path —
-    blocking only amortises the host dispatch overhead.  ``workspace``
-    is an optional :class:`WorkspacePool` reused across calls.
+    merge into the running profile.  On the vector path a tile taller
+    than wide takes budget-sized blocks instead (``row_block`` is then a
+    floor; see :func:`~repro.kernels.dist_calc.block_rows`), which
+    ``dist_calc`` walks column by column.  Output, kernel costs and
+    therefore modelled timings are bit-for-bit identical to the per-row
+    path — blocking only amortises the host dispatch overhead.
+    ``workspace`` is an optional :class:`WorkspacePool` reused across
+    calls.
 
     ``precalc`` is an optional :class:`~repro.kernels.precalc.
     PreparedPrecalc` assembled by the plan-level
@@ -278,6 +291,8 @@ def run_tile(
     update.allocate(d, n_q_seg, mirror_rows=n_r_seg if mirror else None)
 
     cols_global = _cached_arange(n_q_seg) + col_offset
+    if not tensor_core:
+        row_block = block_rows(n_r_seg, n_q_seg, d, row_block)
     block = max(1, min(row_block, n_r_seg))
     if tensor_core:
         # The panel kernel's super-step *is* the blocked loop; it keeps

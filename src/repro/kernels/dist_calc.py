@@ -12,6 +12,13 @@ operations per dimension in each iteration").  All arithmetic rounds to the
 mode's compute dtype after every operation, exactly like the ``__half``
 intrinsics path of the CUDA implementation.
 
+QT[i,j] depends only on QT[i-1,j-1], so the recurrence runs along
+diagonals: a block of rows may equally be advanced column by column, with
+the identical per-element FMA sequence.  Blocks with more rows than
+columns take that column walk (``~n_q`` sequential steps instead of
+``~rows``); :func:`block_rows` sizes the blocks of tiles taller than wide
+so that they do.
+
 Overflow handling: half-precision QT values beyond 65504 become ``inf`` in
 the FMA pipeline (the large-deviation failure mode of Section V-B); the
 resulting non-finite distances are saturated to the dtype's largest finite
@@ -32,7 +39,32 @@ from ..precision.modes import DTYPE_MAX, PrecisionPolicy
 from ._f16fast import f16_keys19, f16_lut19, round_f16_inplace
 from .precalc import PrecalcResult
 
-__all__ = ["DistCalcKernel"]
+__all__ = ["DistCalcKernel", "TALL_BLOCK_ELEMS", "block_rows"]
+
+#: Elements (``d * rows * n_q``) of one main-loop block of a tile taller
+#: than wide.  Large enough that a stream band tile (long history x a few
+#: dozen new columns) is one or a few column-walked blocks, small enough
+#: that the block workspace stays cache-resident.
+TALL_BLOCK_ELEMS = 1 << 17
+
+
+def block_rows(n_r_seg: int, n_q_seg: int, d: int, row_block: int) -> int:
+    """Rows per block of the vector main loop of one tile.
+
+    Square and wide tiles, and the per-row path (``row_block <= 1``),
+    take ``row_block`` rows.  A tile taller than wide takes enough rows
+    to fill :data:`TALL_BLOCK_ELEMS`, never fewer than ``row_block`` and
+    at most the whole tile, when such a block has more rows than columns
+    — :meth:`DistCalcKernel.run_block` then walks it column by column.
+    A budget block of a near-square tall tile would still be walked row
+    by row, and taller row-walked blocks only cost, so it keeps
+    ``row_block``.  Callers cap the result at ``n_r_seg``.
+    """
+    if row_block > 1 and n_r_seg > n_q_seg:
+        rows = min(n_r_seg, max(row_block, TALL_BLOCK_ELEMS // (d * n_q_seg)))
+        if rows > n_q_seg:
+            return rows
+    return row_block
 
 
 @lru_cache(maxsize=32)
@@ -188,6 +220,46 @@ class DistCalcKernel(Kernel):
                     row[:, 1:] = t  # single rounding of the second FMA
                 prev = row
 
+    def _advance_qt_columns(self, i0: int, rows: int, ws: np.ndarray) -> None:
+        """:meth:`_advance_qt_block` walking columns instead of rows.
+
+        Column ``j`` of rows ``i0..i0+rows-1`` needs only column ``j-1``
+        of rows ``i0-1..i0+rows-2``, so each of the ``n_q - 1`` sequential
+        steps advances every row of the block at once.  Every element
+        gets the row walk's two FMAs with the same operands in the same
+        order, so the planes are bit-identical.  The walk runs in a
+        transposed scratch, where each column is contiguous, that is
+        copied into ``ws`` once at the end.
+        """
+        self._ensure_block_state()
+        dtype = self.policy.compute
+        d, n_q = self._inv_q.shape
+        # qt[:, j, 1 + r] holds QT[i0 + r, j]; slot 0 holds the previous
+        # block's last row.  Block row 0 of the first block has no
+        # predecessor and takes qt_row0 instead.
+        qt = np.empty((d, n_q, rows + 1), dtype=dtype)
+        lo = 0
+        if i0 == 0:
+            qt[:, :, 1] = self.pre.qt_row0
+            lo = 1
+        else:
+            qt[:, :, 0] = self.qt
+        r = slice(i0 + lo, i0 + rows)
+        # Written after row 0, which keeps qt_row0's column-0 entry.
+        qt[:, 0, 1 + lo :] = self._qt_col0[:, r]
+        step = np.empty((d, rows - lo), dtype=dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod1 = np.multiply(self._df_r_w[:, None, r], self._dg_q_w[:, 1:, None])
+            prod2 = np.multiply(self._df_q_w[:, 1:, None], self._dg_r_w[:, None, r])
+            for j in range(1, n_q):
+                t = prod1[:, j - 1]
+                np.add(t, qt[:, j - 1, lo:rows], out=t)
+                step[...] = t  # single rounding of the fused a*b + c
+                t = prod2[:, j - 1]
+                np.add(t, step, out=t)
+                qt[:, j, 1 + lo :] = t  # single rounding of the second FMA
+        ws[:, :rows, :] = qt[:, :, 1:].transpose(0, 2, 1)
+
     def _advance_qt(self, i: int, out: np.ndarray, qt_prev: np.ndarray | None) -> None:
         """Write row ``i``'s QT plane into ``out`` (Eq. 1 recurrence)."""
         if i == 0:
@@ -269,19 +341,23 @@ class DistCalcKernel(Kernel):
 
         ``workspace`` is a preallocated ``(d, rows, n_q)`` compute-dtype
         buffer the sequential QT recurrence fills row by row (no per-row
-        temporaries); the QT -> distance conversion then runs once over
-        the whole block.  Every operation is element-wise, so the result
-        is bit-for-bit identical to ``rows`` consecutive :meth:`run`
-        calls, and the cost is recorded per logical row so the modelled
-        timings stay identical too.  Returns a fresh (d, rows, n_q)
-        distance block (``workspace`` keeps the QT planes for the next
-        block's recurrence).
+        temporaries), or column by column when ``rows > n_q``; the QT ->
+        distance conversion then runs once over the whole block.  Every
+        operation is element-wise, so the result is bit-for-bit identical
+        to ``rows`` consecutive :meth:`run` calls, and the cost is
+        recorded per logical row so the modelled timings stay identical
+        too.  Returns a fresh (d, rows, n_q) distance block
+        (``workspace`` keeps the QT planes for the next block's
+        recurrence).
         """
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
         if i0 != 0 and self.qt is None:
             raise RuntimeError("rows must be visited in order starting at 0")
-        self._advance_qt_block(i0, rows, workspace)
+        if rows > self._inv_q.shape[1]:
+            self._advance_qt_columns(i0, rows, workspace)
+        else:
+            self._advance_qt_block(i0, rows, workspace)
         # The workspace is reused by the caller; keep the recurrence state
         # in a private copy of the last row.
         self.qt = workspace[:, rows - 1, :].copy()

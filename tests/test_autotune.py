@@ -17,6 +17,7 @@ from repro.gpu.calibration import (
     measure_host_profile,
     save_profile,
 )
+from repro.kernels.dist_calc import block_rows
 from repro.precision.modes import PrecisionMode
 from repro.reporting import render_autotune_choices
 from repro.service import JobRequest, MatrixProfileService
@@ -178,6 +179,27 @@ class TestHostCostModel:
             for b in (1, 32, 128)
         }
         assert times[1] > times[32] > times[128]
+
+    def test_tall_tile_priced_as_column_walked_blocks(self):
+        """A stream band tile (long history x a few new columns) runs as
+        budget-sized blocks, not ceil(rows / row_block) super-steps; the
+        per-row path (row_block=1) keeps one step per row."""
+        model = HostCostModel()
+        c = model.calibration
+        mode = PrecisionMode.FP32
+        rows, cols, d = 4096, 32, 2
+        blocks = math.ceil(rows / block_rows(rows, cols, d, 32))
+        assert blocks == 2
+        cells = rows * cols * d * model.cell_time(mode)
+        assert model.tile_time(rows, cols, d, mode, 32) == pytest.approx(
+            c.tile_overhead + blocks * c.step_time(mode) + cells
+        )
+        assert model.tile_time(rows, cols, d, mode, 1) == pytest.approx(
+            c.tile_overhead + rows * c.step_time(mode) + cells
+        )
+        # One row taller than wide: a budget block would still walk rows,
+        # so the tile keeps row_block blocks.
+        assert block_rows(301, 300, d, 32) == 32
 
     def test_parallel_floored_at_critical_path(self):
         model = HostCostModel()

@@ -7,7 +7,9 @@ performance features: every test here pins the contract that they change
 modelled timeline are bit-for-bit those of the original per-row,
 serial execution, for every precision mode, dimensionality, block size,
 join type and sort strategy, including the degenerate inputs that force
-the half-precision fast paths onto their scalar fallbacks.
+the half-precision fast paths onto their scalar fallbacks.  Tiles taller
+than wide run budget-sized blocks that walk the recurrence column by
+column; the same contract covers them.
 """
 
 import threading
@@ -28,6 +30,7 @@ from repro.engine.backends import WorkspacePool, run_tile
 from repro.engine.dispatch import TransientDeviceError
 from repro.engine.health import HealthPolicy
 from repro.gpu.simulator import GPUSimulator
+from repro.kernels import dist_calc
 from repro.kernels._f16fast import (
     f16_keys19,
     f16_lut19,
@@ -35,25 +38,48 @@ from repro.kernels._f16fast import (
     round_f16_nonneg_inplace,
 )
 from repro.kernels.layout import to_device_layout
+from repro.streams.incremental import IncrementalMatrixProfile
 
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
 
 
-def _run(tr, tq, m, cfg, row_block, strategy="bitonic", ez=None):
+def _run(tr, tq, m, cfg, row_block, strategy="bitonic", ez=None,
+         col_offset=0, mirror=False):
     out = run_tile(
-        tr, tq, m, cfg.policy, cfg.launch,
+        tr, tq, m, cfg.policy, cfg.launch, col_offset=col_offset,
         exclusion_zone=ez, sort_strategy=strategy, row_block=row_block,
+        mirror=mirror,
     )
     costs = {k: vars(v).copy() for k, v in out.costs.items()}
-    return out.profile, out.indices, costs
+    return (out.profile, out.indices, costs, out.mirror_profile,
+            out.mirror_indices)
 
 
 def _assert_same(ref, got, label):
-    p0, i0, c0 = ref
-    p, i, c = got
+    p0, i0, c0, mp0, mi0 = ref
+    p, i, c, mp, mi = got
     assert np.array_equal(p.view(np.uint8), p0.view(np.uint8)), f"profile {label}"
     assert np.array_equal(i, i0), f"indices {label}"
     assert c == c0, f"costs {label}"
+    if mp0 is not None:
+        assert np.array_equal(mp.view(np.uint8), mp0.view(np.uint8)), f"mirror {label}"
+        assert np.array_equal(mi, mi0), f"mirror indices {label}"
+
+
+def _tall_tiles(tr, m, rows_per_block, monkeypatch):
+    """Tall tiles of ``tr``'s self-join, n_q in {1, 5}, with the column
+    walk's block budget shrunk to ``rows_per_block`` rows so one tile
+    spans several column-walked blocks.  Yields ``(label, query, col
+    offset, mirror)``; the column strips cross the exclusion zone."""
+    d = tr.shape[0]
+    for n_q in (1, 5):
+        monkeypatch.setattr(
+            dist_calc, "TALL_BLOCK_ELEMS", rows_per_block * d * n_q
+        )
+        c0 = (tr.shape[1] - m) // 2
+        tq = tr[:, c0 : c0 + n_q + m - 1]
+        for mirror in (False, True):
+            yield f"tall n_q={n_q} mirror={mirror}", tq, c0, mirror
 
 
 class TestKernelBitIdentity:
@@ -61,26 +87,45 @@ class TestKernelBitIdentity:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
-    def test_blocked_matches_per_row(self, rng, mode, d):
+    def test_blocked_matches_per_row(self, rng, mode, d, monkeypatch):
         n, m = 64, 8
         ref = rng.normal(size=(n, d)).cumsum(axis=0)
         qry = rng.normal(size=(48, d)).cumsum(axis=0)
         cfg = RunConfig(mode=mode)
         tr = to_device_layout(ref, cfg.policy.storage)
         tq = to_device_layout(qry, cfg.policy.storage)
+        long_tr = to_device_layout(
+            rng.normal(size=(160, d)).cumsum(axis=0), cfg.policy.storage
+        )
         for strategy in ("bitonic", "batch"):
             for tq_used, ez in ((tr, m // 2), (tq, None)):  # self- and AB-join
                 base = _run(tr, tq_used, m, cfg, 1, strategy, ez)
                 for blk in (7, 64, 500):  # incl. one block > n_r_seg
                     got = _run(tr, tq_used, m, cfg, blk, strategy, ez)
                     _assert_same(base, got, f"{mode} d={d} {strategy} blk={blk}")
+            # 153-row tiles: 48-row column-walked blocks (blk=7), the
+            # row_block floor (64) and one whole-tile block (500).
+            for label, tq_used, c0, mirror in _tall_tiles(
+                long_tr, m, 48, monkeypatch
+            ):
+                base = _run(long_tr, tq_used, m, cfg, 1, strategy, m // 2,
+                            c0, mirror)
+                for blk in (7, 64, 500):
+                    got = _run(long_tr, tq_used, m, cfg, blk, strategy,
+                               m // 2, c0, mirror)
+                    _assert_same(
+                        base, got, f"{mode} d={d} {strategy} {label} blk={blk}"
+                    )
 
     @pytest.mark.parametrize("mode", ["FP16", "FP32"])
-    def test_degenerate_inputs_hit_fallbacks_identically(self, rng, mode):
+    def test_degenerate_inputs_hit_fallbacks_identically(
+        self, rng, mode, monkeypatch
+    ):
         """Constant windows (inf/0 normalisers -> NaN products), huge
         amplitudes (QT overflow -> inf) and tiny amplitudes (half
         subnormals) push the blocked half fast paths onto their scalar
-        fallbacks — results must still be bit-identical."""
+        fallbacks — results must still be bit-identical, on square and
+        on tall (column-walked) tiles."""
         n, m, d = 72, 8, 3
         series = []
         a = rng.normal(size=(n, d)).cumsum(axis=0)
@@ -95,6 +140,15 @@ class TestKernelBitIdentity:
             for blk in (16, 500):
                 got = _run(tr, tr, m, cfg, blk, ez=m // 2)
                 _assert_same(base, got, f"degenerate {mode} blk={blk}")
+            for label, tq, c0, mirror in _tall_tiles(tr, m, 24, monkeypatch):
+                base = _run(tr, tq, m, cfg, 1, ez=m // 2, col_offset=c0,
+                            mirror=mirror)
+                for blk in (16, 500):
+                    got = _run(tr, tq, m, cfg, blk, ez=m // 2, col_offset=c0,
+                               mirror=mirror)
+                    _assert_same(
+                        base, got, f"degenerate {mode} {label} blk={blk}"
+                    )
 
     def test_dist_calc_loop_rounds_are_arithmetic(self, rng):
         """The grid-stride round count is ceil(plane/threads) per logical
@@ -268,6 +322,21 @@ class TestWorkspacePool:
             pass
         with pool.lease((4, 4), np.float32) as b:
             assert b is leaked  # returned to the pool despite the raise
+
+    def test_changing_shapes_keep_one_buffer_per_dtype(self, rng):
+        """A stream keeps one backend for life and its wide band tile asks
+        for a new block shape on every append: the pool must grow one
+        buffer per dtype, not retain one per shape."""
+        pool = WorkspacePool()
+        with pool.lease((2, 8, 40), np.float32) as big:
+            pass
+        with pool.lease((2, 4, 10), np.float32) as small:
+            assert np.shares_memory(small, big)  # prefix of the grown buffer
+        stream = IncrementalMatrixProfile(16, RunConfig(mode="FP32"))
+        series = rng.normal(size=(640, 2)).cumsum(axis=0)
+        for start in range(0, len(series), 32):
+            stream.append(series[start : start + 32])
+        assert len(stream._backend._workspace_pool()._free) == 1
 
     def test_backend_pools_are_per_thread(self):
         backend = NumericBackend()
