@@ -135,8 +135,7 @@ def test_row_blocking_speedup(benchmark):
     )
     r_par, t_par = _timed(
         lambda: compute_multi_tile(
-            series, None, M, RunConfig(**base_cfg),
-            parallel_workers=WORKERS)
+            series, None, M, RunConfig(parallel_workers=WORKERS, **base_cfg))
     )
     assert np.array_equal(r_blk.profile, r_row.profile)
     assert np.array_equal(r_blk.index, r_row.index)

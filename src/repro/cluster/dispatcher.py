@@ -11,14 +11,17 @@ per-node partial profiles through one
 
 Bit-identity is the design invariant.  Tiles are independent, so a
 tile's output depends only on its geometry, the series, and the config —
-never on which node ran it.  The coordinator merges completed tiles in
-ascending tile-id order (the serial loop's order, hence the strict-``<``
-tie-break contract), buffering out-of-order arrivals, so the final
-profile is bit-identical to a single-node run *regardless of sharding,
-node loss, or recovery*.  The merge is **asynchronous**: after every
-round the contiguous done-prefix of tile ids is merged (and journaled)
-immediately — a coordinator crash mid-recovery leaves a valid prefix
-journal that :func:`resume_cluster` continues bit-identically.
+never on which node ran it.  The coordinator commits completed tiles
+through the same :class:`~repro.engine.accumulate.TileCommitOrder` rule
+as :func:`~repro.engine.dispatch.execute_plan` — a tile merges once no
+smaller id is outstanding (hence the strict-``<`` tie-break contract) —
+so the final profile is bit-identical to a single-node run *regardless
+of sharding, node loss, or recovery*.  The merge is **asynchronous**:
+each node's finished tiles commit as soon as their predecessors have,
+and are journaled as they merge — a coordinator crash mid-recovery
+leaves a valid prefix journal that :func:`resume_cluster` continues
+bit-identically.  OOM-split children take ids past every id of the
+job, so they never collide with another node's tiles.
 
 Node-loss recovery: a :class:`~repro.cluster.faults.NodeFaultPlan`
 decides deterministically which nodes crash and after what fraction of
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 
 from ..core.config import RetryPolicy, RunConfig
 from ..core.result import MatrixProfileResult
-from ..engine.accumulate import ProfileAccumulator
+from ..engine.accumulate import ProfileAccumulator, TileCommitOrder
 from ..engine.backends import AnalyticBackend, NumericBackend
 from ..engine.checkpoint import RunJournal
 from ..engine.dispatch import TileRetryExhaustedError, execute_plan
@@ -316,13 +319,15 @@ class ClusterDispatcher:
         else:
             injector = corruptor = None
 
-        finished: dict[int, object] = {}  # tile_id -> TileExecution
+        def commit(execution) -> None:
+            accumulator.add(execution)
+            result.tiles_completed += 1
+            if journal is not None:
+                journal.record(execution, accumulator)
+
+        order = TileCommitOrder(commit, (t.tile_id for t in pending))
+        next_id = plan.next_tile_id
         dead: set[int] = set()
-        merged_ids = {
-            t.tile_id
-            for t in plan.tiles
-            if RunJournal.key(t) in done_keys
-        }
         straggled: set[int] = set()
         round_no = 0
 
@@ -345,6 +350,7 @@ class ClusterDispatcher:
 
             round_makespan = 0.0
             newly_dead: list[int] = []
+            ran: set[int] = set()
             for node in sorted(shards):
                 shard = shards[node]
                 run_tiles = shard
@@ -359,6 +365,7 @@ class ClusterDispatcher:
                     self.cluster.gpu_of(t.tile_id) for t in run_tiles
                 ]
                 subplan = spec.plan(tiles=run_tiles, assignment=assignment)
+                subplan.next_tile_id = next_id
                 sim = GPUSimulator(
                     cluster.device_spec, n_gpus=cluster.gpus_per_node
                 )
@@ -375,8 +382,16 @@ class ClusterDispatcher:
                     label=f"node{node}",
                 )
                 result.escalations.update(report.escalations)
+                # Every tile the node ran finished or split: children take
+                # job-wide fresh ids and replace their parent in the order.
+                ran.update(t.tile_id for t in run_tiles)
+                for parent, children in report.splits.items():
+                    next_id += len(children)
+                    result.tiles_total += len(children) - 1
+                    order.expect(children)
+                    order.drop(parent)
                 for execution in report.executions:
-                    finished[execution.tile.tile_id] = execution
+                    order.finish(execution)
                 slowdown = 1.0
                 if faults is not None:
                     slowdown = faults.straggler(node)
@@ -396,31 +411,7 @@ class ClusterDispatcher:
                 round_makespan = max(round_makespan, gpu_time)
 
             result.round_makespans.append(round_makespan)
-
-            # Async partial merge: advance the contiguous done-prefix in
-            # tile-id order (the serial loop's order => bit-identity),
-            # journaling each merged tile.
-            for tile in plan.tiles:
-                tid = tile.tile_id
-                if tid in merged_ids:
-                    continue
-                if tid not in finished:
-                    break
-                execution = finished.pop(tid)
-                accumulator.add(execution)
-                result.tiles_completed += 1
-                merged_ids.add(tid)
-                if journal is not None:
-                    journal.record(execution, accumulator)
-
-            # Tiles finished out of prefix order stay buffered in
-            # ``finished`` until their predecessors complete; they are
-            # done, so they must not be re-sharded.
-            pending = [
-                t
-                for t in pending
-                if t.tile_id not in merged_ids and t.tile_id not in finished
-            ]
+            pending = [t for t in pending if t.tile_id not in ran]
 
             if newly_dead:
                 dead.update(newly_dead)
@@ -437,17 +428,7 @@ class ClusterDispatcher:
                 result.recovery_overhead += detect + backoff
             round_no += 1
 
-        # Drain the out-of-order buffer (everything pending is now done).
-        for tid in sorted(finished):
-            execution = finished.pop(tid)
-            if tid in merged_ids:
-                continue
-            accumulator.add(execution)
-            result.tiles_completed += 1
-            merged_ids.add(tid)
-            if journal is not None:
-                journal.record(execution, accumulator)
-
+        order.flush()
         result.rounds = round_no if round_no > 0 else 1
 
         # Gather + merge over the survivors (reduce tree of partials).

@@ -52,7 +52,6 @@ def compute_multi_tile(
     oom_split: bool = False,
     journal: "RunJournal | str | None" = None,
     observers=(),
-    parallel_workers: int | None = None,
 ) -> MatrixProfileResult:
     """Matrix profile via the tiling scheme on simulated multi-GPU hardware.
 
@@ -72,16 +71,13 @@ def compute_multi_tile(
     * ``oom_split`` — split a tile on device OOM instead of raising;
     * ``journal`` — a :class:`~repro.engine.checkpoint.RunJournal` (or a
       directory path to create one) checkpointing completed tiles for
-      :func:`~repro.engine.checkpoint.resume_plan`;
-    * ``parallel_workers`` — host threads executing independent tiles
-      concurrently (results merge in tile-id order, so the output is
-      deterministic and matches the serial dispatch bit for bit);
-      defaults to ``config.parallel_workers`` so autotuned configs carry
-      the knob without every caller threading it through.
+      :func:`~repro.engine.checkpoint.resume_plan`.
+
+    ``config.parallel_workers`` host threads execute independent tiles
+    concurrently; tiles commit in tile-id order, so the output matches
+    the serial dispatch bit for bit.
     """
     config = config or RunConfig()
-    if parallel_workers is None:
-        parallel_workers = config.parallel_workers
     spec = JobSpec.from_arrays(reference, query, m, config)
     plan = spec.plan()
     failure_injector = corruptor = None
@@ -114,7 +110,7 @@ def compute_multi_tile(
         corruptor=corruptor,
         oom_split=oom_split,
         journal=journal_obj,
-        parallel_workers=parallel_workers,
+        parallel_workers=config.parallel_workers,
     )
     return MatrixProfileResult(
         profile=accumulator.host_profile(),

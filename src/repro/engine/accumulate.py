@@ -4,10 +4,16 @@ Pseudocode 2's second loop — min/argmin-merge every tile's profile into
 the global one — plus the bookkeeping every caller used to duplicate:
 kernel-cost aggregation, merge-element counting and the modelled CPU
 merge time.  :class:`ProfileAccumulator` is fed one
-:class:`~repro.engine.backends.TileExecution` at a time by the
-dispatcher, in plan order, so the strict-``<`` tie-breaking contract of
-:func:`merge_tile_outputs` (earliest reference row wins) is preserved
-exactly.
+:class:`~repro.engine.backends.TileExecution` at a time, and
+:class:`TileCommitOrder` decides *when*: a finished tile commits once no
+tile with a smaller id is outstanding, so every column receives its
+tiles in ascending tile-id order and the strict-``<`` tie-breaking
+contract of :func:`merge_tile_outputs` (earliest reference row wins)
+holds whatever order tiles finish in — across worker threads, retries,
+escalations, cluster nodes and recovery rounds.  Both
+:func:`~repro.engine.dispatch.execute_plan` and
+:class:`~repro.cluster.ClusterDispatcher` commit through it, so a
+journal fed at commit time is always an ascending-id prefix.
 
 For analytic runs (no numerical output) the accumulator still counts
 merge elements from the tile geometry, so :meth:`merge_time` models the
@@ -15,6 +21,9 @@ same CPU cost the numeric path would pay.
 """
 
 from __future__ import annotations
+
+import heapq
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -24,7 +33,7 @@ from ..gpu.kernel import KernelCost
 from ..kernels.update import INDEX_DTYPE
 from ..precision.modes import DTYPE_MAX, PrecisionPolicy
 
-__all__ = ["merge_tile_outputs", "merge_mirrored", "ProfileAccumulator"]
+__all__ = ["merge_tile_outputs", "merge_mirrored", "ProfileAccumulator", "TileCommitOrder"]
 
 
 def merge_tile_outputs(
@@ -230,3 +239,64 @@ class ProfileAccumulator:
     def host_index(self) -> np.ndarray:
         """The (n_q_seg, d) int64 time-major index for results."""
         return np.ascontiguousarray(self.index.T)
+
+
+class TileCommitOrder:
+    """The commit rule: finished tiles commit in ascending tile-id order.
+
+    ``commit(execution)`` is called for a finished tile once no tile with
+    a smaller id is outstanding — queued, in flight, or waiting for a
+    retry or escalation.  Outstanding ids live in a heap, so each commit
+    costs O(log n) instead of a rescan.  On a serial, failure-free
+    dispatch every tile commits the moment it finishes.
+
+    Parameters
+    ----------
+    commit:
+        Called with each :class:`~repro.engine.backends.TileExecution`,
+        in ascending ``execution.tile.tile_id`` order.
+    tile_ids:
+        The ids outstanding at the start.
+    """
+
+    def __init__(
+        self, commit: Callable[[object], None], tile_ids: Iterable[int] = ()
+    ):
+        self._commit = commit
+        self._outstanding = list(tile_ids)
+        heapq.heapify(self._outstanding)
+        self._finished: dict[int, object] = {}
+        self._dropped: set[int] = set()
+
+    def expect(self, tile_ids: Iterable[int]) -> None:
+        """Mark new tiles outstanding (OOM-split children)."""
+        for tile_id in tile_ids:
+            heapq.heappush(self._outstanding, tile_id)
+
+    def drop(self, tile_id: int) -> None:
+        """An outstanding tile will never finish (a split parent)."""
+        self._dropped.add(tile_id)
+        self._release()
+
+    def finish(self, execution) -> None:
+        """A tile finished; commit it and every unblocked successor."""
+        self._finished[execution.tile.tile_id] = execution
+        self._release()
+
+    def flush(self) -> None:
+        """Normal exit: commit every finished tile in ascending id order,
+        whatever is still outstanding (deadline-abandoned tiles)."""
+        for tile_id in sorted(self._finished):
+            self._commit(self._finished.pop(tile_id))
+
+    def _release(self) -> None:
+        heap = self._outstanding
+        while heap:
+            tile_id = heap[0]
+            if tile_id in self._dropped:
+                self._dropped.discard(tile_id)
+            elif tile_id in self._finished:
+                self._commit(self._finished.pop(tile_id))
+            else:
+                return
+            heapq.heappop(heap)

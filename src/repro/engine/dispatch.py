@@ -11,12 +11,15 @@ loop now, with the variation points made explicit:
   (:class:`StaticPlacement` over the plan's assignment), or a dynamic
   :class:`RoundRobinPlacement` with device exclusion for
   retry-around-a-sick-GPU (the service shares one cursor pool-wide);
-* **retry** — :class:`TransientDeviceError` re-queues the tile at the
-  back of the work deque on a different device, up to ``max_retries``
-  attempts, then :class:`TileRetryExhaustedError`;
+* **retry** — :class:`TransientDeviceError` re-queues the tile (on a
+  different device, given a placement with exclusion), up to
+  ``max_retries`` attempts, then :class:`TileRetryExhaustedError`; the
+  retried tile still commits at its tile-id position;
 * **deadline / anytime cancellation** — when ``clock()`` passes
-  ``deadline_at`` the remaining tiles are abandoned; completed tiles
-  already merged make the accumulator a valid anytime upper bound;
+  ``deadline_at`` the remaining tiles are abandoned; finished tiles
+  still commit, so the accumulator is a valid anytime upper bound;
+* **workers** — ``parallel_workers`` tile attempts run at once on a
+  thread pool (inline when 1); only the attempt runs off-thread;
 * **observers** — per-tile hooks (:class:`TileObserver`) feeding service
   metrics, anytime-style progress callbacks and trace annotation without
   the loop knowing about any of them.
@@ -33,8 +36,16 @@ Fault tolerance (all opt-in; the happy path stays bit-identical):
   quartered (halved along a 1-segment axis) and its children re-queued,
   instead of aborting the job;
 * **journaling** — pass a :class:`~repro.engine.checkpoint.RunJournal`
-  and completed tiles are recorded (tile log + accumulator snapshot);
+  and committed tiles are recorded (tile log + accumulator snapshot);
   a journaled dispatch skips already-completed tiles on resume.
+
+One commit rule covers every path: a finished tile commits — stream
+scheduling, merge, journal record, observers — once no tile with a
+smaller id is outstanding (:class:`~repro.engine.accumulate
+.TileCommitOrder`).  The result is therefore independent of the worker
+count and of completion order, a recovered transient fault leaves it
+bit-identical to the fault-free run, and the journal is always an
+ascending-id prefix of the run.
 
 Without ``oom_split``, device OOM
 (:class:`~repro.gpu.memory.DeviceOutOfMemoryError`) is *not* retried —
@@ -57,7 +68,7 @@ from ..gpu.memory import DeviceOutOfMemoryError
 from ..gpu.simulator import GPUSimulator, schedule_tile_timing
 from ..gpu.stream import Timeline, flush_streams
 from ..precision.modes import PrecisionMode
-from .accumulate import ProfileAccumulator
+from .accumulate import ProfileAccumulator, TileCommitOrder
 from .backends import TileBackend, TileExecution
 from .health import HealthPolicy, TileHealthError, escalation_next
 from .plan import ExecutionPlan
@@ -249,7 +260,6 @@ class _TileWork:
     excluded: set[int] = field(default_factory=set)
     mode: PrecisionMode | None = None  # escalated execution mode
     devices: list[int] = field(default_factory=list)  # attempted GPU ids
-    split_depth: int = 0
     preflighted: bool = False
 
 
@@ -368,9 +378,16 @@ def execute_plan(
 ) -> DispatchReport:
     """Run every tile of ``plan`` on ``sim`` through ``backend``.
 
-    Tiles run in plan order (row-major), so CPU-side merges via the
-    ``accumulator`` reproduce the sequential single-tile iteration order
-    — the tie-breaking contract of :func:`merge_tile_outputs`.
+    Tiles start in plan order (row-major) and commit in tile-id order
+    (:class:`~repro.engine.accumulate.TileCommitOrder`): a finished tile
+    is merged into the ``accumulator``, journaled, scheduled on the
+    timeline and reported to observers once no smaller id is
+    outstanding.  The CPU-side merge therefore reproduces the sequential
+    single-tile iteration order — the tie-breaking contract of
+    :func:`merge_tile_outputs` — whatever order tiles finish in, and the
+    journal is always an ascending-id prefix.  When the queue empties or
+    the deadline hits, finished tiles still waiting behind an abandoned
+    one commit in ascending id; an exception commits nothing more.
 
     ``timeline`` defaults to ``sim.timeline``; pass a fresh
     :class:`~repro.gpu.stream.Timeline` for job-local accounting (the
@@ -390,7 +407,7 @@ def execute_plan(
     (fault injection — escalated re-executions stay clean, so recovery
     converges); ``oom_split`` splits a tile on device OOM instead of
     propagating; ``journal`` (a :class:`~repro.engine.checkpoint
-    .RunJournal`-like object) records completed tiles and skips tiles it
+    .RunJournal`-like object) records committed tiles and skips tiles it
     already holds.
 
     ``retry_policy`` (a :class:`~repro.core.config.RetryPolicy`; defaults
@@ -401,13 +418,13 @@ def execute_plan(
     injectable wait primitive (tests pass a recorder; cluster simulation
     prices delays into the modelled makespan instead of sleeping).
 
-    ``parallel_workers > 1`` executes independent tiles concurrently on a
-    thread pool (see :func:`_execute_plan_parallel`): workers run only
-    the numerics, the coordinator keeps every non-thread-safe decision
-    (placement, retries, escalation, splitting, journaling), and results
-    merge in tile-id order regardless of completion order — so the
-    output is deterministic and, on the failure-free path, bit-identical
-    to the serial loop, timeline included.
+    ``parallel_workers > 1`` runs up to that many tile attempts at once
+    on a thread pool.  Workers run only an attempt — the failure
+    injector plus ``backend.run``; this thread keeps everything else
+    (placement, retries, escalation, splitting, observers, the timeline,
+    the merge and the journal).  With one worker an attempt runs inline.
+    Because commits follow tile ids, the output is identical for every
+    worker count, on every fault path.
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -417,19 +434,6 @@ def execute_plan(
         )
     if retry_policy is None:
         retry_policy = getattr(plan.spec.config, "retry_policy", None)
-    if parallel_workers > 1:
-        return _execute_plan_parallel(
-            plan, backend, sim,
-            accumulator=accumulator, placement=placement, timeline=timeline,
-            observers=observers, max_retries=max_retries,
-            deadline_at=deadline_at, clock=clock,
-            failure_injector=failure_injector, label=label,
-            flush_per_tile=flush_per_tile, lock=lock,
-            keep_executions=keep_executions, health=health,
-            corruptor=corruptor, oom_split=oom_split, journal=journal,
-            workers=parallel_workers,
-            retry_policy=retry_policy, sleeper=sleeper,
-        )
     timeline = timeline if timeline is not None else sim.timeline
     placement = placement if placement is not None else StaticPlacement(plan)
     lock = lock if lock is not None else nullcontext()
@@ -442,7 +446,7 @@ def execute_plan(
         and plan.spec.self_join
     )
     completed_keys = journal.completed_keys() if journal is not None else frozenset()
-    next_id = max((t.tile_id for t in plan.tiles), default=-1) + 1
+    next_id = plan.next_tile_id
     work: deque[_TileWork] = deque()
     for tile in plan.tiles:
         if journal is not None and journal.key(tile) in completed_keys:
@@ -451,41 +455,41 @@ def execute_plan(
             continue
         work.append(_TileWork(tile))
 
-    while work:
-        if deadline_at is not None and clock() >= deadline_at:
-            # Anytime-style: merge what finished, abandon the rest.
-            report.deadline_hit = True
-            remaining = [w.tile for w in work]
-            for obs in observers:
-                obs.on_deadline(remaining)
-            break
-        item = work.popleft()
-        if (
-            health is not None
-            and health.preflight
-            and not item.preflighted
-            and item.mode is None
-            and plan.spec.reference is not None
-        ):
-            # Pre-flight risk scoring: start overflow-doomed tiles at the
-            # first rung their own data cannot overflow.
-            item.preflighted = True
-            target = health.preflight_mode(plan.spec, item.tile)
-            if target != base_mode:
-                item.mode = target
-                report.escalations[item.tile.tile_id] = target
-        active_plan = plan if item.mode is None else plan.escalated(item.mode)
-        gpu_id = placement.pick(item.tile, item.excluded)
-        gpu = sim.gpus[gpu_id]
-        item.devices.append(gpu_id)
+    def commit(execution: TileExecution) -> None:
+        gpu = sim.gpus[execution.gpu_id]
+        with lock:
+            stream = gpu.next_stream()
+            schedule_tile_timing(
+                gpu, stream, timeline, execution.timing,
+                f"{tile_label}{execution.tile.tile_id}",
+            )
+            if flush_per_tile:
+                flush_streams(gpu.streams, timeline)
+        if accumulator is not None:
+            accumulator.add(execution)
+            if journal is not None:
+                journal.record(execution, accumulator)
+        report.tiles_completed += 1
+        if keep_executions:
+            report.executions.append(execution)
         for obs in observers:
-            obs.on_tile_start(item.tile, gpu_id, item.attempt)
+            obs.on_tile_complete(execution.tile, execution.gpu_id, execution)
+
+    order = TileCommitOrder(commit, (item.tile.tile_id for item in work))
+
+    def attempt(active_plan, item, gpu_id) -> TileExecution:
+        # The injector fires *before* device allocations, so an injected
+        # failure never leaks pool memory.
+        if failure_injector is not None:
+            failure_injector(label, item.tile, gpu_id, item.attempt)
+        return backend.run(active_plan, item.tile, sim.gpus[gpu_id])
+
+    def settle(item: _TileWork, gpu_id: int, outcome: Callable) -> None:
+        """Retry, split, escalate or finish one attempt; ``outcome()``
+        returns its execution or raises its failure."""
+        nonlocal next_id
         try:
-            # The injector fires *before* device allocations, so an
-            # injected failure never leaks pool memory.
-            if failure_injector is not None:
-                failure_injector(label, item.tile, gpu_id, item.attempt)
-            execution = backend.run(active_plan, item.tile, gpu)
+            execution = outcome()
         except TransientDeviceError as exc:
             if item.attempt >= max_retries:
                 raise TileRetryExhaustedError(
@@ -494,14 +498,12 @@ def execute_plan(
                 ) from exc
             for obs in observers:
                 obs.on_tile_retry(item.tile, gpu_id, item.attempt, exc)
-            _retry_backoff(
-                retry_policy, item.tile, item.attempt, sleeper, report
-            )
+            _retry_backoff(retry_policy, item.tile, item.attempt, sleeper, report)
             item.attempt += 1
             item.excluded.add(gpu_id)
             report.tile_retries += 1
             work.append(item)  # re-queue at the back, different device
-            continue
+            return
         except DeviceOutOfMemoryError as exc:
             if not oom_split:
                 raise
@@ -509,9 +511,7 @@ def execute_plan(
             if not children:
                 raise  # 1x1 tile: nothing left to split off
             next_id += len(children)
-            report.splits[item.tile.tile_id] = tuple(
-                c.tile_id for c in children
-            )
+            report.splits[item.tile.tile_id] = tuple(c.tile_id for c in children)
             report.tiles_total += len(children) - 1
             for obs in observers:
                 obs.on_tile_split(item.tile, children, exc)
@@ -520,20 +520,13 @@ def execute_plan(
                     report.tiles_completed += 1
                     report.tiles_restored += 1
                     continue
+                order.expect((child.tile_id,))
                 work.append(
-                    _TileWork(
-                        child,
-                        mode=item.mode,
-                        split_depth=item.split_depth + 1,
-                        preflighted=item.preflighted,
-                    )
+                    _TileWork(child, mode=item.mode, preflighted=item.preflighted)
                 )
-            continue
-        if (
-            corruptor is not None
-            and item.mode is None
-            and execution.output is not None
-        ):
+            order.drop(item.tile.tile_id)
+            return
+        if corruptor is not None and item.mode is None and execution.output is not None:
             corruptor(label, item.tile, gpu_id, item.attempt, execution.output)
         if health is not None and execution.output is not None:
             issues = health.check(execution.output, plan.spec.m)
@@ -548,280 +541,69 @@ def execute_plan(
                 item.mode = nxt
                 report.escalations[item.tile.tile_id] = nxt
                 work.append(item)  # re-execute one rung up the ladder
+                return
+        execution.gpu_id = gpu_id
+        order.finish(execution)
+
+    pool = None
+    if parallel_workers > 1:
+        ensure = getattr(backend, "ensure_serialised_allocator", None)
+        if ensure is not None:
+            ensure()
+        pool = ThreadPoolExecutor(
+            max_workers=parallel_workers, thread_name_prefix="tile-worker"
+        )
+    in_flight: dict = {}  # future -> (_TileWork, gpu_id)
+    try:
+        while work or in_flight:
+            if work and deadline_at is not None and clock() >= deadline_at:
+                # Anytime-style: abandon the queue; attempts in flight
+                # finish, and everything finished still commits.
+                report.deadline_hit = True
+                remaining = [w.tile for w in work]
+                work.clear()
+                for obs in observers:
+                    obs.on_deadline(remaining)
                 continue
-        execution.gpu_id = gpu_id
-        with lock:
-            stream = gpu.next_stream()
-            schedule_tile_timing(
-                gpu, stream, timeline, execution.timing,
-                f"{tile_label}{item.tile.tile_id}",
-            )
-            if flush_per_tile:
-                flush_streams(gpu.streams, timeline)
-        if accumulator is not None:
-            accumulator.add(execution)
-            if journal is not None:
-                journal.record(execution, accumulator)
-        report.tiles_completed += 1
-        if keep_executions:
-            report.executions.append(execution)
-        for obs in observers:
-            obs.on_tile_complete(item.tile, gpu_id, execution)
-
-    if not flush_per_tile:
-        for gpu in sim.gpus:
-            flush_streams(gpu.streams, timeline)
-    return report
-
-
-def _run_tile_on_worker(backend, active_plan, item, gpu_id, gpu,
-                        failure_injector, label):
-    """The worker-thread slice of one tile attempt: injected failure
-    check plus the backend numerics — nothing that touches coordinator
-    state.  ``NumericBackend`` keeps workspace pools per thread and the
-    dispatcher has already serialised its allocator."""
-    if failure_injector is not None:
-        failure_injector(label, item.tile, gpu_id, item.attempt)
-    return backend.run(active_plan, item.tile, gpu)
-
-
-def _execute_plan_parallel(
-    plan: ExecutionPlan,
-    backend: TileBackend,
-    sim: GPUSimulator,
-    *,
-    accumulator,
-    placement,
-    timeline,
-    observers,
-    max_retries,
-    deadline_at,
-    clock,
-    failure_injector,
-    label,
-    flush_per_tile,
-    lock,
-    keep_executions,
-    health,
-    corruptor,
-    oom_split,
-    journal,
-    workers: int,
-    retry_policy=None,
-    sleeper: Callable[[float], None] = time.sleep,
-) -> DispatchReport:
-    """The ``parallel_workers > 1`` body of :func:`execute_plan`.
-
-    Division of labour:
-
-    * **workers** run only :func:`_run_tile_on_worker` — upload, kernels,
-      free.  The backend's per-thread workspace pools and serialised
-      allocator make that safe.
-    * the **coordinator** (this thread) owns everything with shared
-      state: the work queue, placement picks, ``plan.escalated()``'s
-      cache, retry/split/escalation decisions, observers, stream
-      scheduling, the accumulator and the journal.
-
-    Determinism: completed tiles are buffered and merged *after* the
-    run, in tile-id order — the same order the serial loop uses on its
-    failure-free path — so profile, indices, tie-breaks, journal
-    contents and the simulated timeline are independent of which worker
-    finished first.  A deadline stops new submissions and abandons the
-    queue; tiles already in flight finish and still merge (their work is
-    done — discarding it would only lose coverage).
-    """
-    timeline = timeline if timeline is not None else sim.timeline
-    placement = placement if placement is not None else StaticPlacement(plan)
-    lock = lock if lock is not None else nullcontext()
-    tile_label = f"{label}:tile" if label else "tile"
-    report = DispatchReport(tiles_total=plan.n_tiles)
-    base_mode = PrecisionMode.parse(plan.spec.config.mode)
-
-    ensure = getattr(backend, "ensure_serialised_allocator", None)
-    if ensure is not None:
-        ensure()
-
-    symmetric = (
-        getattr(plan.spec.config, "symmetric_tiles", False)
-        and plan.spec.self_join
-    )
-    completed_keys = journal.completed_keys() if journal is not None else frozenset()
-    next_id = max((t.tile_id for t in plan.tiles), default=-1) + 1
-    work: deque[_TileWork] = deque()
-    for tile in plan.tiles:
-        if journal is not None and journal.key(tile) in completed_keys:
-            report.tiles_completed += 1
-            report.tiles_restored += 1
-            continue
-        work.append(_TileWork(tile))
-
-    # tile id -> (_TileWork, gpu_id, TileExecution), merged in id order below.
-    finished: dict[int, tuple[_TileWork, int, TileExecution]] = {}
-    pending: dict = {}
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="tile-worker"
-    ) as pool:
-        try:
-            while work or pending:
+            if work and len(in_flight) < parallel_workers:
+                item = work.popleft()
                 if (
-                    not report.deadline_hit
-                    and deadline_at is not None
-                    and clock() >= deadline_at
+                    health is not None
+                    and health.preflight
+                    and not item.preflighted
+                    and item.mode is None
+                    and plan.spec.reference is not None
                 ):
-                    report.deadline_hit = True
-                    remaining = [w.tile for w in work]
-                    work.clear()
-                    for obs in observers:
-                        obs.on_deadline(remaining)
-                while work and len(pending) < workers:
-                    item = work.popleft()
-                    if (
-                        health is not None
-                        and health.preflight
-                        and not item.preflighted
-                        and item.mode is None
-                        and plan.spec.reference is not None
-                    ):
-                        item.preflighted = True
-                        target = health.preflight_mode(plan.spec, item.tile)
-                        if target != base_mode:
-                            item.mode = target
-                            report.escalations[item.tile.tile_id] = target
-                    active_plan = (
-                        plan if item.mode is None else plan.escalated(item.mode)
-                    )
-                    gpu_id = placement.pick(item.tile, item.excluded)
-                    gpu = sim.gpus[gpu_id]
-                    item.devices.append(gpu_id)
-                    for obs in observers:
-                        obs.on_tile_start(item.tile, gpu_id, item.attempt)
-                    fut = pool.submit(
-                        _run_tile_on_worker, backend, active_plan, item,
-                        gpu_id, gpu, failure_injector, label,
-                    )
-                    pending[fut] = (item, gpu_id)
-                if not pending:
-                    continue  # deadline drained the queue; loop exits
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                # Process batches in tile-id order: re-queues (retries,
-                # escalations, splits) then happen in a reproducible
-                # order for any given completion grouping.
-                for fut in sorted(done, key=lambda f: pending[f][0].tile.tile_id):
-                    item, gpu_id = pending.pop(fut)
-                    try:
-                        execution = fut.result()
-                    except TransientDeviceError as exc:
-                        if item.attempt >= max_retries:
-                            raise TileRetryExhaustedError(
-                                item.tile.tile_id, item.attempt + 1, exc,
-                                gpu_ids=tuple(item.devices),
-                            ) from exc
-                        for obs in observers:
-                            obs.on_tile_retry(item.tile, gpu_id, item.attempt, exc)
-                        _retry_backoff(
-                            retry_policy, item.tile, item.attempt,
-                            sleeper, report,
-                        )
-                        item.attempt += 1
-                        item.excluded.add(gpu_id)
-                        report.tile_retries += 1
-                        work.append(item)
-                        continue
-                    except DeviceOutOfMemoryError as exc:
-                        if not oom_split:
-                            raise
-                        children = _split_tile(item.tile, next_id, symmetric=symmetric)
-                        if not children:
-                            raise
-                        next_id += len(children)
-                        report.splits[item.tile.tile_id] = tuple(
-                            c.tile_id for c in children
-                        )
-                        report.tiles_total += len(children) - 1
-                        for obs in observers:
-                            obs.on_tile_split(item.tile, children, exc)
-                        for child in children:
-                            if (
-                                journal is not None
-                                and journal.key(child) in completed_keys
-                            ):
-                                report.tiles_completed += 1
-                                report.tiles_restored += 1
-                                continue
-                            work.append(
-                                _TileWork(
-                                    child,
-                                    mode=item.mode,
-                                    split_depth=item.split_depth + 1,
-                                    preflighted=item.preflighted,
-                                )
-                            )
-                        continue
-                    if (
-                        corruptor is not None
-                        and item.mode is None
-                        and execution.output is not None
-                    ):
-                        corruptor(
-                            label, item.tile, gpu_id, item.attempt,
-                            execution.output,
-                        )
-                    if health is not None and execution.output is not None:
-                        issues = health.check(execution.output, plan.spec.m)
-                        if issues:
-                            report.health_failures += 1
-                            current = (
-                                execution.mode
-                                if execution.mode is not None
-                                else base_mode
-                            )
-                            nxt = (
-                                escalation_next(current)
-                                if health.escalate
-                                else None
-                            )
-                            if nxt is None:
-                                raise TileHealthError(
-                                    item.tile.tile_id, current, issues
-                                )
-                            for obs in observers:
-                                obs.on_tile_escalate(
-                                    item.tile, gpu_id, current, nxt, issues
-                                )
-                            item.mode = nxt
-                            report.escalations[item.tile.tile_id] = nxt
-                            work.append(item)
-                            continue
-                    finished[item.tile.tile_id] = (item, gpu_id, execution)
-        except BaseException:
-            for fut in pending:
+                    # Pre-flight risk scoring: start overflow-doomed tiles
+                    # at the first rung their own data cannot overflow.
+                    item.preflighted = True
+                    target = health.preflight_mode(plan.spec, item.tile)
+                    if target != base_mode:
+                        item.mode = target
+                        report.escalations[item.tile.tile_id] = target
+                active_plan = plan if item.mode is None else plan.escalated(item.mode)
+                gpu_id = placement.pick(item.tile, item.excluded)
+                item.devices.append(gpu_id)
+                for obs in observers:
+                    obs.on_tile_start(item.tile, gpu_id, item.attempt)
+                if pool is None:
+                    settle(item, gpu_id, lambda: attempt(active_plan, item, gpu_id))
+                else:
+                    fut = pool.submit(attempt, active_plan, item, gpu_id)
+                    in_flight[fut] = (item, gpu_id)
+                continue
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            # Settle a batch in tile-id order, so re-queues happen in a
+            # reproducible order for any completion grouping.
+            for fut in sorted(done, key=lambda f: in_flight[f][0].tile.tile_id):
+                item, gpu_id = in_flight.pop(fut)
+                settle(item, gpu_id, fut.result)
+    finally:
+        if pool is not None:
+            for fut in in_flight:
                 fut.cancel()  # queued-but-unstarted attempts; in-flight drain
-            raise
-
-    # Deterministic epilogue: merge in tile-id order, whatever order the
-    # workers delivered — stream assignment, accumulator tie-breaks and
-    # journal records all match the serial failure-free loop.
-    for tile_id in sorted(finished):
-        item, gpu_id, execution = finished[tile_id]
-        execution.gpu_id = gpu_id
-        gpu = sim.gpus[gpu_id]
-        with lock:
-            stream = gpu.next_stream()
-            schedule_tile_timing(
-                gpu, stream, timeline, execution.timing,
-                f"{tile_label}{item.tile.tile_id}",
-            )
-            if flush_per_tile:
-                flush_streams(gpu.streams, timeline)
-        if accumulator is not None:
-            accumulator.add(execution)
-            if journal is not None:
-                journal.record(execution, accumulator)
-        report.tiles_completed += 1
-        if keep_executions:
-            report.executions.append(execution)
-        for obs in observers:
-            obs.on_tile_complete(item.tile, gpu_id, execution)
+            pool.shutdown(wait=True)
+    order.flush()
 
     if not flush_per_tile:
         for gpu in sim.gpus:

@@ -372,6 +372,13 @@ class ExecutionPlan:
     #: in the same cache.
     precalc_cache: "PrecalcPlaneCache | None" = None
     _escalated: dict = field(default_factory=dict, repr=False)
+    #: First id free for tiles born at dispatch (OOM-split children):
+    #: past the plan's own ids.  A cluster shard moves it past every id
+    #: of the whole job, so children stay unique across nodes and rounds.
+    next_tile_id: int = field(init=False, repr=False, default=0)
+
+    def __post_init__(self) -> None:
+        self.next_tile_id = max((t.tile_id for t in self.tiles), default=-1) + 1
 
     @property
     def n_tiles(self) -> int:

@@ -311,7 +311,9 @@ def measure_host_profile(
 
     cfg = RunConfig(mode="FP64", device=device, n_tiles=4)
     t_serial = timed(compute_multi_tile, series, None, m, cfg)
-    t_pair = timed(compute_multi_tile, series, None, m, cfg, parallel_workers=2)
+    t_pair = timed(
+        compute_multi_tile, series, None, m, cfg.with_(parallel_workers=2)
+    )
     # t(w) = serial / (1 + eff*(w-1))  =>  eff = serial/t(w) - 1 at w=2.
     if t_pair > 0:
         profile.parallel_efficiency = min(max(t_serial / t_pair - 1.0, 0.0), 1.0)

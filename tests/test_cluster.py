@@ -27,6 +27,7 @@ from repro.cluster import (
 from repro.core.config import RetryPolicy, RunConfig
 from repro.engine.checkpoint import RunJournal
 from repro.engine.dispatch import TileRetryExhaustedError
+from repro.engine.faults import FaultPlan
 from repro.engine.plan import JobSpec
 from repro.precision.modes import PrecisionMode
 
@@ -310,6 +311,42 @@ class TestRecovery:
         assert with_backoff.backoff_seconds > 0.0
         assert with_backoff.recovery_overhead > without.recovery_overhead
         np.testing.assert_array_equal(with_backoff.profile, without.profile)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_oom_split_finishes_in_one_round(self, seed, tmp_path):
+        # Split parents leave the pending set and their children take ids
+        # past every id of the job, so nothing re-shards or collides.
+        cluster = ClusterSpec(n_nodes=4, gpus_per_node=2)
+        clean = _baseline("self", cluster, n_tiles=16)
+        storm = _CountingFaults(FaultPlan(seed=seed, oom_rate=0.3), limit=200)
+        run = ClusterDispatcher(
+            cluster, fault_plan=storm, oom_split=True
+        ).run_journaled(_spec(), tmp_path / "journal", n_tiles=16)
+        assert storm.fault_plan.event_counts().get("oom", 0) > 0
+        assert run.rounds == 1
+        assert run.dropped_tiles == 0
+        ids = [r["tile_id"] for r in
+               RunJournal.open(tmp_path / "journal").completed_records()]
+        assert len(ids) == len(set(ids))
+        assert (run.index >= 0).all()
+        np.testing.assert_allclose(run.profile, clean.profile)
+
+
+class _CountingFaults:
+    """A tile ``FaultPlan`` whose injector gives up after ``limit`` calls,
+    so a dispatch that never terminates fails instead of hanging."""
+
+    def __init__(self, fault_plan, limit):
+        self.fault_plan = fault_plan
+        self.corruptor = fault_plan.corruptor
+        self.limit = limit
+        self.calls = 0
+
+    def injector(self, label, tile, gpu_id, attempt):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise RuntimeError(f"still dispatching after {self.limit} attempts")
+        self.fault_plan.injector(label, tile, gpu_id, attempt)
 
 
 class TestCoordinatorCrashResume:

@@ -14,7 +14,14 @@ import pytest
 
 from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
-from repro.engine import JobSpec, RunJournal, TileObserver, resume_plan
+from repro.engine import (
+    JobSpec,
+    RunJournal,
+    TileObserver,
+    TileRetryExhaustedError,
+    TransientDeviceError,
+    resume_plan,
+)
 from repro.engine.checkpoint import JOURNAL_VERSION
 
 
@@ -43,6 +50,19 @@ class KillPlan:
         self.seen += 1
         if self.seen > self.allow:
             raise KeyboardInterrupt("killed mid-run")
+
+
+class FailTile:
+    """fault_plan stand-in whose injector fails one tile on every attempt."""
+
+    corruptor = None
+
+    def __init__(self, tile_id):
+        self.tile_id = tile_id
+
+    def injector(self, label, tile, gpu_id, attempt):
+        if tile.tile_id == self.tile_id:
+            raise TransientDeviceError(f"tile {tile.tile_id} always fails")
 
 
 def _series(n=220, d=2, seed=5):
@@ -170,6 +190,27 @@ class TestKillAndResume:
         # ...and the repeated identical merge changed nothing.
         assert np.array_equal(resumed.profile, uninterrupted.profile)
         assert np.array_equal(resumed.index, uninterrupted.index)
+
+    def test_parallel_failed_run_journals_a_prefix(self, tmp_path):
+        # Workers finish out of order, but tiles commit in id order: the
+        # failed run leaves an ascending-id prefix that resumes exactly.
+        config = RunConfig(
+            mode="FP32", n_tiles=16, n_gpus=2, parallel_workers=2
+        )
+        series = _series()
+        uninterrupted = compute_multi_tile(series, None, 16, config)
+        path = tmp_path / "journal"
+        with pytest.raises(TileRetryExhaustedError):
+            compute_multi_tile(
+                series, None, 16, config, journal=path, fault_plan=FailTile(15)
+            )
+        ids = [r["tile_id"] for r in RunJournal.open(path).completed_records()]
+        assert len(ids) >= 14
+        assert ids == list(range(len(ids)))
+        resumed = resume_plan(path)
+        assert np.array_equal(resumed.profile, uninterrupted.profile)
+        assert np.array_equal(resumed.index, uninterrupted.index)
+        assert resumed.merge_time == uninterrupted.merge_time
 
     def test_resume_is_itself_resumable(self, tmp_path, config):
         series = _series()

@@ -117,11 +117,19 @@ class TestInjector:
         assert fp.event_counts() == {"sick": 3}
 
 
+def _repeating_series(seed=11):
+    """A 40-sample random pattern repeated 8x, plus 31 random samples:
+    exact repeats tie in distance, so merge order decides the indices."""
+    rng = np.random.default_rng(seed)
+    pattern = rng.normal(size=(40, 2))
+    return np.concatenate([np.tile(pattern, (8, 1)), rng.normal(size=(31, 2))])
+
+
 # The chaos matrix: >= 3 seeds x both placement policies.
 @pytest.mark.parametrize("placement_kind", ["static", "round-robin"])
 @pytest.mark.parametrize("seed", [3, 17, 29])
 class TestFaultStorm:
-    def _run(self, spec, plan, fault_plan, placement_kind):
+    def _run(self, spec, plan, fault_plan, placement_kind, workers=1):
         sim = GPUSimulator(
             spec.config.device, spec.config.n_gpus, spec.config.n_streams
         )
@@ -141,6 +149,7 @@ class TestFaultStorm:
             health=HealthPolicy(),
             failure_injector=fault_plan.injector,
             corruptor=fault_plan.corruptor,
+            parallel_workers=workers,
         )
         return report, accumulator
 
@@ -182,6 +191,28 @@ class TestFaultStorm:
             clean.profile.astype(np.float64) - exact.profile
         ).max()
         assert err_storm <= err_clean + 0.05
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "mode, symmetric",
+        [("FP64", False), ("FP16", False), ("Mixed", False), ("FP16", True)],
+    )
+    def test_transient_storm_recovers_bit_identically(
+        self, seed, placement_kind, workers, mode, symmetric
+    ):
+        # Retried tiles commit at their tile-id position, so recovery
+        # reproduces the fault-free merge order: indices, ties included.
+        config = RunConfig(
+            mode=mode, n_tiles=16, n_gpus=2, symmetric_tiles=symmetric
+        )
+        spec = JobSpec.from_arrays(_repeating_series(), None, 16, config)
+        plan = spec.plan()
+        _, clean = self._run(spec, plan, FaultPlan(seed=seed), placement_kind)
+        storm = FaultPlan(seed=seed, transient_rate=0.4)
+        report, got = self._run(spec, plan, storm, placement_kind, workers)
+        assert report.tile_retries > 0, "storm injected nothing"
+        assert np.array_equal(got.host_profile(), clean.host_profile())
+        assert np.array_equal(got.host_index(), clean.host_index())
 
     def test_storm_is_placement_invariant_in_events(
         self, seed, placement_kind, spec_and_plan
