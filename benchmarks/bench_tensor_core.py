@@ -5,7 +5,7 @@ streaming Eq. (1) recurrence of ``dist_calc`` with batched 16x16x16 MMA
 updates over a packed FP16 operand panel, accumulated in FP32 and carried
 through a fused sort/scan + reduce-then-store update without intermediate
 half roundings.  Unlike row blocking it is *not* bit-identical to the
-per-row emulation — FP32 accumulation is the point — so this bench
+vector main loop — FP32 accumulation is the point — so this bench
 measures both clocks:
 
 1. **Speed (the acceptance measurement)** — one Mixed tile at the

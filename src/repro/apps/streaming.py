@@ -42,7 +42,7 @@ from ..kernels.layout import (
     validate_stream_samples,
 )
 from ..kernels.precalc import PrecalcResult, PrecalcKernel
-from ..kernels.sort_scan import bitonic_sort, fanin_inclusive_scan
+from ..kernels.sort_scan import inclusive_average
 from ..kernels.update import INDEX_DTYPE
 from ..precision.modes import DTYPE_MAX
 
@@ -257,7 +257,9 @@ class StreamingMatrixProfile:
         # Sort/scan operate columnwise along the dimension axis, so the
         # batch folds into one (d, S * n_ref_seg) plane.
         plane = np.ascontiguousarray(dist.reshape(self.d, S * self.n_ref_seg))
-        averaged = self._averaged_plane(plane).reshape(self.d, S, self.n_ref_seg)
+        averaged = inclusive_average(plane, self.policy.compute).reshape(
+            self.d, S, self.n_ref_seg
+        )
         rows = []
         idxs = []
         for s in range(S):
@@ -268,18 +270,10 @@ class StreamingMatrixProfile:
     def _connect_dimensions(self, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """mSTAMP dimension connection of one (d, n_ref_seg) plane: sort
         along dims, fan-in average, then min/argmin across positions."""
-        averaged = self._averaged_plane(dist)
+        averaged = inclusive_average(dist, self.policy.compute)
         profile_row = averaged.min(axis=1).astype(np.float64)
         index_row = averaged.argmin(axis=1).astype(INDEX_DTYPE)
         return profile_row, index_row
-
-    def _averaged_plane(self, dist: np.ndarray) -> np.ndarray:
-        dtype = self.policy.compute
-        sorted_plane = bitonic_sort(dist)
-        scanned = fanin_inclusive_scan(sorted_plane, dtype)
-        divisors = np.arange(1, self.d + 1, dtype=np.float64)[:, None].astype(dtype)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (scanned / divisors).astype(dtype)
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """All completed segments as (n_seg, d) arrays (batch layout)."""

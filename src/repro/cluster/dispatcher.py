@@ -379,16 +379,26 @@ class ClusterDispatcher:
                     corruptor=corruptor,
                     health=self.health,
                     oom_split=self.oom_split,
+                    # With no accumulator the dispatch journals nothing;
+                    # the journal only makes it skip split children a
+                    # resumed run already holds.
+                    journal=journal,
                     label=f"node{node}",
                 )
                 result.escalations.update(report.escalations)
+                result.tiles_restored += report.tiles_restored
+                result.tiles_completed += report.tiles_restored
                 # Every tile the node ran finished or split: children take
                 # job-wide fresh ids and replace their parent in the order.
+                # Journaled children were skipped and never finish.
                 ran.update(t.tile_id for t in run_tiles)
+                dispatched = set(report.splits).union(
+                    e.tile.tile_id for e in report.executions
+                )
                 for parent, children in report.splits.items():
                     next_id += len(children)
                     result.tiles_total += len(children) - 1
-                    order.expect(children)
+                    order.expect(c for c in children if c in dispatched)
                     order.drop(parent)
                 for execution in report.executions:
                     order.finish(execution)

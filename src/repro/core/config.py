@@ -114,7 +114,7 @@ class RunConfig:
     #: tiles taller than wide take budget-sized, column-walked blocks
     #: (``repro.kernels.dist_calc.block_rows``), for which ``row_block``
     #: is a floor; square and wide tiles take exactly ``row_block`` rows.
-    #: Bit-exact for any value (1 = the per-row path); purely a
+    #: Bit-exact for any value (1 = one-row blocks); purely a
     #: host-emulation batching knob, so it changes neither the numerics
     #: nor the modelled costs.  32 keeps the block workspace
     #: cache-resident and measures fastest.

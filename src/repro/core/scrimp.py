@@ -24,7 +24,7 @@ import numpy as np
 from ..engine.plan import JobSpec
 from ..gpu.kernel import LaunchConfig
 from ..kernels.precalc import PrecalcKernel
-from ..kernels.sort_scan import bitonic_sort, fanin_inclusive_scan
+from ..kernels.sort_scan import inclusive_average
 from ..kernels.update import INDEX_DTYPE
 from ..precision.arithmetic import rp_fma
 from ..precision.modes import DTYPE_MAX, PrecisionPolicy
@@ -98,7 +98,6 @@ def diagonal_matrix_profile(
     index = np.full((d, n_q_seg), -1, dtype=INDEX_DTYPE)
     two_m = dtype.type(2 * m)
     one = dtype.type(1)
-    divisors = (np.arange(1, d + 1, dtype=np.float64)[:, None]).astype(dtype)
 
     total = diagonal_count(n_r_seg, n_q_seg)
     rng = np.random.default_rng(seed)
@@ -131,9 +130,7 @@ def diagonal_matrix_profile(
             dist = np.sqrt((two_m * gap).astype(dtype)).astype(dtype)
             dist = np.where(np.isfinite(dist), dist, limit).astype(dtype)
 
-            averaged = (
-                fanin_inclusive_scan(bitonic_sort(dist), dtype) / divisors
-            ).astype(dtype)
+            averaged = inclusive_average(dist, dtype)
 
             if zone is not None:
                 excluded = np.abs(cols - rows) <= zone

@@ -203,19 +203,20 @@ def run_tile(
     cooperative bitonic kernel or the batch-based ablation alternative;
     ``fast_path_1d`` skips the sort/scan entirely for d == 1 (identity).
 
-    ``row_block > 1`` executes the main loop in super-steps of that many
-    reference rows: ``dist_calc`` fills a leased ``(d, B, n_q)`` QT
-    workspace (sequential recurrence, no per-row temporaries), the
-    column-independent sort/scan runs once per block on the reshaped
-    ``(d, B*n_q)`` plane and the update reduces the block before one
-    merge into the running profile.  On the vector path a tile taller
-    than wide takes budget-sized blocks instead (``row_block`` is then a
-    floor; see :func:`~repro.kernels.dist_calc.block_rows`), which
-    ``dist_calc`` walks column by column.  Output, kernel costs and
-    therefore modelled timings are bit-for-bit identical to the per-row
-    path — blocking only amortises the host dispatch overhead.
-    ``workspace`` is an optional :class:`WorkspacePool` reused across
-    calls.
+    The main loop runs in super-steps of ``row_block`` reference rows
+    (``row_block=1`` runs one-row blocks): ``dist_calc`` fills a leased
+    ``(d, B, n_q)`` QT workspace (sequential recurrence, no per-row
+    temporaries), the column-independent sort/scan runs once per block
+    on the reshaped ``(d, B*n_q)`` plane and the update reduces the
+    block before one merge into the running profile.  On the vector
+    path a tile taller than wide takes budget-sized blocks instead
+    (``row_block`` is then a floor; see
+    :func:`~repro.kernels.dist_calc.block_rows`), which ``dist_calc``
+    walks column by column.  Output, kernel costs and therefore modelled
+    timings are bit-for-bit identical for every block size, and to the
+    per-row reference execution the tests keep — blocking only
+    amortises the host dispatch overhead.  ``workspace`` is an optional
+    :class:`WorkspacePool` reused across calls.
 
     ``precalc`` is an optional :class:`~repro.kernels.precalc.
     PreparedPrecalc` assembled by the plan-level
@@ -227,7 +228,7 @@ def run_tile(
     footprint stay as they were.
 
     ``main_loop`` selects the main-loop execution path: ``"vector"`` (the
-    paper's per-row/row-blocked recurrence) or ``"tensor_core"`` (the
+    paper's row-wise recurrence) or ``"tensor_core"`` (the
     packed-panel chained-GEMM kernel of :class:`~repro.kernels.tc_gemm.
     TcGemmKernel`).  The tensor-core path always runs row-blocked (its
     unit of work *is* the panel), keeps the distance panel in the FP32
@@ -295,63 +296,32 @@ def run_tile(
         row_block = block_rows(n_r_seg, n_q_seg, d, row_block)
     block = max(1, min(row_block, n_r_seg))
     if tensor_core:
-        # The panel kernel's super-step *is* the blocked loop; it keeps
-        # the QT panel in its own FP32 accumulator scratch, so the leased
-        # compute-dtype QT workspace of the vector path is never needed.
+        # The panel kernel keeps the QT panel in its own FP32 accumulator
+        # scratch; only the vector path needs the compute-dtype workspace.
+        lease = nullcontext()
+    else:
+        pool = workspace if workspace is not None else WorkspacePool()
+        lease = pool.lease((d, block, n_q_seg), policy.compute)
+    with lease as qt_ws:
         for i0 in range(0, n_r_seg, block):
             b = min(block, n_r_seg - i0)
-            dist_blk = dist.run_block(i0, b, None)
+            dist_blk = dist.run_block(
+                i0, b, None if qt_ws is None else qt_ws[:, :b, :]
+            )
             if skip_sort:
                 avg_blk = dist_blk
             else:
                 flat = dist_blk.reshape(d, b * n_q_seg)
                 avg_blk = sort_scan.run(flat, rows=b).reshape(d, b, n_q_seg)
-            if exclusion_zone is None:
-                update.run_block(avg_blk, i0, row_offset=row_offset,
-                                 col_offset=col_offset)
-            else:
+            mask = None
+            if exclusion_zone is not None:
                 rows_global = _cached_arange(n_r_seg)[i0 : i0 + b] + row_offset
                 mask = (
                     np.abs(cols_global[None, :] - rows_global[:, None])
                     <= exclusion_zone
                 )
-                update.run_block(avg_blk, i0, row_offset=row_offset,
-                                 mask=mask, col_offset=col_offset)
-    elif block == 1:
-        for i in range(n_r_seg):
-            plane = dist.run(i)
-            averaged = plane if skip_sort else sort_scan.run(plane)
-            if exclusion_zone is None:
-                update.run(averaged, i, row_offset=row_offset,
-                           col_offset=col_offset)
-            else:
-                mask = (np.abs(cols_global - (i + row_offset)) <= exclusion_zone)[None, :]
-                update.masked_run(averaged, i, mask, row_offset=row_offset,
-                                  col_offset=col_offset)
-    else:
-        pool = workspace if workspace is not None else WorkspacePool()
-        with pool.lease((d, block, n_q_seg), policy.compute) as qt_ws:
-            for i0 in range(0, n_r_seg, block):
-                b = min(block, n_r_seg - i0)
-                dist_blk = dist.run_block(i0, b, qt_ws[:, :b, :])
-                if skip_sort:
-                    avg_blk = dist_blk
-                else:
-                    flat = dist_blk.reshape(d, b * n_q_seg)
-                    avg_blk = sort_scan.run(flat, rows=b).reshape(d, b, n_q_seg)
-                if exclusion_zone is None:
-                    update.run_block(avg_blk, i0, row_offset=row_offset,
-                                 col_offset=col_offset)
-                else:
-                    rows_global = (
-                        _cached_arange(n_r_seg)[i0 : i0 + b] + row_offset
-                    )
-                    mask = (
-                        np.abs(cols_global[None, :] - rows_global[:, None])
-                        <= exclusion_zone
-                    )
-                    update.run_block(avg_blk, i0, row_offset=row_offset,
-                                 mask=mask, col_offset=col_offset)
+            update.run_block(avg_blk, i0, row_offset=row_offset, mask=mask,
+                             col_offset=col_offset)
 
     itemsize = policy.itemsize
     h2d_bytes = float((tr_dev.shape[1] + tq_dev.shape[1]) * d * itemsize)

@@ -255,8 +255,10 @@ def measure_host_profile(
     """Measure the host constants by timing small probe runs.
 
     Per mode, times one self-join tile at ``row_block=1`` versus a fully
-    blocked run: the difference isolates the per-super-step overhead, the
-    blocked time (minus overheads) yields the per-cell rate.  A pair of
+    blocked run.  Both go through the same blocked main loop, the first in
+    one-row super-steps, so the difference is the per-super-step overhead
+    ``HostCostModel`` prices; the blocked time (minus overheads) yields
+    the per-cell rate.  A pair of
     4-tile runs at 1 versus 2 workers fits the thread-pool efficiency.
     Probe sizes are deliberately tiny (sub-second total) — the constants
     feed *relative* candidate ranking, where small-sample noise washes

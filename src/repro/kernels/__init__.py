@@ -4,7 +4,7 @@ the requested precision while recording hardware-cost counters."""
 from .dist_calc import DistCalcKernel
 from .layout import to_device_layout, to_host_layout, validate_series
 from .precalc import PrecalcKernel, PrecalcResult, naive_qt_row
-from .sort_scan import SortScanKernel, bitonic_sort, fanin_inclusive_scan
+from .sort_scan import SortScanKernel, fanin_inclusive_scan, sort_columns
 from .sort_scan_batch import (
     BatchSortScanKernel,
     insertion_sort_columns,
@@ -19,8 +19,8 @@ __all__ = [
     "naive_qt_row",
     "SortScanKernel",
     "BatchSortScanKernel",
-    "bitonic_sort",
     "fanin_inclusive_scan",
+    "sort_columns",
     "insertion_sort_columns",
     "sequential_inclusive_scan",
     "UpdateKernel",

@@ -34,7 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 from ..gpu.kernel import Kernel
-from ..precision.arithmetic import rp_fma
 from ..precision.modes import DTYPE_MAX, PrecisionPolicy
 from ._f16fast import f16_keys19, f16_lut19, round_f16_inplace
 from .precalc import PrecalcResult
@@ -51,8 +50,8 @@ TALL_BLOCK_ELEMS = 1 << 17
 def block_rows(n_r_seg: int, n_q_seg: int, d: int, row_block: int) -> int:
     """Rows per block of the vector main loop of one tile.
 
-    Square and wide tiles, and the per-row path (``row_block <= 1``),
-    take ``row_block`` rows.  A tile taller than wide takes enough rows
+    Square and wide tiles, and one-row blocks (``row_block <= 1``), take
+    ``row_block`` rows.  A tile taller than wide takes enough rows
     to fill :data:`TALL_BLOCK_ELEMS`, never fewer than ``row_block`` and
     at most the whole tile, when such a block has more rows than columns
     — :meth:`DistCalcKernel.run_block` then walks it column by column.
@@ -73,11 +72,12 @@ def _qt_to_dist_lut_f16(m: int) -> np.ndarray:
     table: ``saturate(sqrt(2m * max(1 - corr, 0)))``.
 
     Everything after ``corr`` is a unary function of ``corr``, and half
-    precision has only 2^16 values, so the row-blocked path replaces the
-    whole per-element chain (five software-emulated half ufunc passes)
-    with a single gather.  The table is built by running the *original*
-    op sequence over every representable half — bit-identical to the
-    per-row path by construction, NaN and infinity patterns included.
+    precision has only 2^16 values, so the half path replaces the whole
+    per-element chain of :meth:`DistCalcKernel._distances` (five
+    software-emulated half ufunc passes) with a single gather.  The table
+    is built by running that op sequence over every representable half —
+    bit-identical to it by construction, NaN and infinity patterns
+    included.
     """
     dtype = np.dtype(np.float16)
     vals = np.arange(65536, dtype=np.uint16).view(np.float16)
@@ -106,8 +106,8 @@ class DistCalcKernel(Kernel):
     """Streaming distance-row computation for one tile.
 
     Holds the running QT plane between invocations (the diagonal-wise
-    dependency of Eq. (1)); call :meth:`run` with consecutive row indices
-    ``i = 0, 1, ..., n_r_seg-1``.
+    dependency of Eq. (1)); call :meth:`run_block` (or :meth:`run`, one
+    row) with consecutive rows starting at ``i = 0``.
     """
 
     policy: PrecisionPolicy = field(kw_only=True)
@@ -170,15 +170,15 @@ class DistCalcKernel(Kernel):
     def _advance_qt_block(self, i0: int, rows: int, ws: np.ndarray) -> None:
         """Fill ``ws[:, r, :]`` with the QT planes of rows ``i0..i0+rows-1``.
 
-        The same sequential Eq. (1) recurrence as :meth:`_advance_qt`
-        (two wide-evaluated, once-rounded FMAs per row) with the
-        ``rp_fma`` wrapper inlined: quantisation happens through
+        The sequential Eq. (1) recurrence, two ``rp_fma`` FMAs per row
+        (each evaluated in the next-wider format and rounded once), with
+        the wrapper inlined: quantisation happens through
         cast-assignments into preallocated buffers — numpy assignment
         rounds to the destination dtype exactly like ``astype`` — and
         each FMA's ``c`` operand is added in its narrow dtype directly
         (numpy promotes it through an exact widening cast inside the
         add), so no per-row widening passes or temporaries remain.
-        Bit-identical to the per-row path.
+        Bit-identical to calling ``rp_fma`` row by row.
         """
         self._ensure_block_state()
         step_q = self._blk_step_q
@@ -260,33 +260,6 @@ class DistCalcKernel(Kernel):
                 qt[:, j, 1 + lo :] = t  # single rounding of the second FMA
         ws[:, :rows, :] = qt[:, :, 1:].transpose(0, 2, 1)
 
-    def _advance_qt(self, i: int, out: np.ndarray, qt_prev: np.ndarray | None) -> None:
-        """Write row ``i``'s QT plane into ``out`` (Eq. 1 recurrence)."""
-        if i == 0:
-            out[...] = self.pre.qt_row0
-            return
-        if qt_prev is None:
-            raise RuntimeError("rows must be visited in order starting at 0")
-        dtype = self.policy.compute
-        # Two rounded FMAs per element, matching the __hfma2 pipeline:
-        # QT[i, j] = QT[i-1, j-1] + df_r[i]*dg_q[j] + df_q[j]*dg_r[i].
-        step = rp_fma(
-            self._df_r[:, i : i + 1],
-            self._dg_q[:, 1:],
-            qt_prev[:, :-1],
-            dtype,
-        )
-        out[:, 1:] = rp_fma(
-            self._df_q[:, 1:],
-            self._dg_r[:, i : i + 1],
-            step,
-            dtype,
-        )
-        # j = 0 has no top-left predecessor: take the precalculated
-        # first-column entry.  (Written after the FMAs so ``out`` may
-        # alias ``qt_prev``.)
-        out[:, 0] = self._qt_col0[:, i]
-
     def _distances_block_f16(self, qt: np.ndarray, i0: int, rows: int) -> np.ndarray:
         """Half-precision :meth:`_distances` over a ``(d, rows, n_q)`` QT
         block, with the two genuine binary multiplies evaluated the way
@@ -294,7 +267,7 @@ class DistCalcKernel(Kernel):
         operands are half-valued) followed by one RNE rounding to half —
         but vectorised (``_f16fast``), and the unary tail collapsed into
         a single gather (``_qt_to_dist_lut19_f16``).  Bit-identical to
-        the per-row chain; degenerate planes (half subnormals, NaNs from
+        the half ufunc chain; degenerate planes (half subnormals, NaNs from
         inf * 0) divert to the scalar rounding inside
         ``round_f16_inplace`` and still match.
         """
@@ -308,11 +281,11 @@ class DistCalcKernel(Kernel):
         return np.take(_qt_to_dist_lut19_f16(self.pre.m), f16_keys19(corr))
 
     def _distances(self, qt: np.ndarray, inv_r: np.ndarray) -> np.ndarray:
-        """QT -> saturated z-normalised distances; element-wise, so the
-        result per element is independent of how many rows are batched."""
+        """(d, rows, n_q) QT block -> saturated z-normalised distances;
+        element-wise, so the result per element is independent of how
+        many rows are batched."""
         dtype = self.policy.compute
-        blocked = qt.ndim == 3
-        inv_q = self._inv_q[:, None, :] if blocked else self._inv_q
+        inv_q = self._inv_q[:, None, :]
         with np.errstate(over="ignore", invalid="ignore"):
             corr = ((qt * inv_r).astype(dtype) * inv_q).astype(dtype)
             gap = (self._one - corr).astype(dtype)
@@ -324,17 +297,13 @@ class DistCalcKernel(Kernel):
         return np.where(np.isfinite(dist), dist, limit).astype(dtype)
 
     def run(self, i: int) -> np.ndarray:
-        """Compute distance plane for reference row ``i``; returns (d, n_q)."""
-        dtype = self.policy.compute
-        if i == 0:
-            self.qt = self.pre.qt_row0.astype(dtype, copy=True)
-        else:
-            qt_new = None if self.qt is None else np.empty_like(self.qt)
-            self._advance_qt(i, qt_new, self.qt)
-            self.qt = qt_new
-        dist = self._distances(self.qt, self._inv_r[:, i : i + 1])
-        self._record_cost(dist.size)
-        return dist
+        """Compute distance plane for reference row ``i``; returns (d, n_q).
+
+        A one-row :meth:`run_block` into a fresh workspace.
+        """
+        d, n_q = self._inv_q.shape
+        ws = np.empty((d, 1, n_q), dtype=self.policy.compute)
+        return self.run_block(i, 1, ws)[:, 0, :]
 
     def run_block(self, i0: int, rows: int, workspace: np.ndarray) -> np.ndarray:
         """Compute distance planes for rows ``i0 .. i0+rows-1`` at once.
@@ -344,11 +313,10 @@ class DistCalcKernel(Kernel):
         temporaries), or column by column when ``rows > n_q``; the QT ->
         distance conversion then runs once over the whole block.  Every
         operation is element-wise, so the result is bit-for-bit identical
-        to ``rows`` consecutive :meth:`run` calls, and the cost is
-        recorded per logical row so the modelled timings stay identical
-        too.  Returns a fresh (d, rows, n_q) distance block
-        (``workspace`` keeps the QT planes for the next block's
-        recurrence).
+        to ``rows`` consecutive one-row calls, and the cost is recorded
+        per logical row so the modelled timings stay identical too.
+        Returns a fresh (d, rows, n_q) distance block (``workspace``
+        keeps the QT planes for the next block's recurrence).
         """
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")

@@ -11,12 +11,17 @@ an O(log d) **fan-in (Hillis–Steele) inclusive scan**, both executed
 cooperatively by a thread group per column with coarse-grained
 synchronisation between stages (Section III-A, IV).
 
-This implementation runs the *same networks*: every compare-exchange stage
-and every scan stage is one vectorised numpy operation across all columns,
-with per-stage rounding in the mode's compute dtype and one synchronisation
-accounted per stage.  Sorting is exact (comparisons don't round); the scan
-adds in fan-in order, which on real hardware differs from a sequential
-cumsum — our emulation reproduces that summation order bit-for-bit.
+This implementation sorts every column of a plane at once with one
+network, :func:`sort_columns`: Batcher's odd-even merge network for
+``d <= 16`` (each comparator one vectorised min/max pair across all
+columns) and ``np.sort`` above that.  Any correct ascending sort of a
+NaN-free column holding no negative zero yields the same value sequence,
+so the values are bit-identical to the bitonic network's; the cost
+record keeps the bitonic stage count and one synchronisation per stage.
+The stage-by-stage bitonic emulation is the test suite's oracle.  The
+scan adds in fan-in order with per-stage rounding in the mode's compute
+dtype, which on real hardware differs from a sequential cumsum — our
+emulation reproduces that summation order bit-for-bit.
 """
 
 from __future__ import annotations
@@ -28,43 +33,19 @@ from functools import lru_cache
 import numpy as np
 
 from ..gpu.kernel import Kernel
-from ..precision.modes import DTYPE_MAX, PrecisionPolicy
+from ..precision.modes import PrecisionPolicy
 from ._f16fast import f16_keys19, f16_lut19, round_f16_nonneg_inplace
 
-__all__ = ["SortScanKernel", "bitonic_sort", "fanin_inclusive_scan"]
+__all__ = [
+    "SortScanKernel",
+    "fanin_inclusive_scan",
+    "inclusive_average",
+    "sort_columns",
+]
 
 
 def _next_pow2(d: int) -> int:
     return 1 << (d - 1).bit_length()
-
-
-@lru_cache(maxsize=64)
-def _bitonic_network(p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Compare-exchange passes of the ``p``-input bitonic network.
-
-    The network depends only on the padded size ``p``, so the index
-    arrays — for each pass the lower/upper partner rows and the
-    per-pair ascending flag column — are built once and cached instead
-    of being rebuilt on every kernel invocation.  Arrays are marked
-    read-only; a pass is ``(i_lo, i_hi, ascending[:, None])``.
-    """
-    passes = []
-    idx = np.arange(p)
-    size = 2
-    while size <= p:
-        stride = size // 2
-        while stride >= 1:
-            partner = idx ^ stride
-            lower = idx < partner
-            i_lo = idx[lower]
-            i_hi = partner[lower]
-            asc = ((idx & size) == 0)[lower][:, None]
-            for arr in (i_lo, i_hi, asc):
-                arr.setflags(write=False)
-            passes.append((i_lo, i_hi, asc))
-            stride //= 2
-        size *= 2
-    return tuple(passes)
 
 
 @lru_cache(maxsize=64)
@@ -86,44 +67,9 @@ def _network_stage_count(p: int) -> int:
 _U16_SIGN = np.uint16(0x8000)
 _U16_REST = np.uint16(0x7FFF)
 
-#: Column counts small enough that an odd-even transposition network
-#: (d rounds of vectorised integer min/max over the whole plane) beats
-#: ``np.sort`` along the short, strided axis.
-_NETWORK_MAX_D = 8
-
-#: Largest ``d`` the fused tensor-core path sorts with a Batcher
-#: odd-even merge network (19 comparators at d=8, versus the 28 of the
-#: transposition network); larger planes fall back to ``np.sort``.
-_BATCHER_MAX_D = 16
-
-
-@lru_cache(maxsize=64)
-def _transposition_pairs(d: int) -> tuple[tuple[int, int], ...]:
-    """Compare-exchange pairs of the ``d``-input odd-even transposition
-    sorting network, in execution order (d rounds, alternating parity)."""
-    return tuple(
-        (i, i + 1)
-        for rnd in range(d)
-        for i in range(rnd & 1, d - 1, 2)
-    )
-
-
-def _sort_keys_network(keys: np.ndarray) -> np.ndarray:
-    """Ascending in-place sort of ``keys`` (shape ``(d, n)``, integer)
-    along axis 0 via the odd-even transposition network — each
-    compare-exchange is two vectorised min/max over an ``n``-element
-    row, which for small ``d`` is far cheaper than ``np.sort`` striding
-    down the columns.  Any correct ascending sort of the same key
-    multiset yields the same key sequence, so the output is identical
-    to ``np.sort(keys, axis=0)``."""
-    lo = np.empty_like(keys[0])
-    hi = np.empty_like(keys[0])
-    for i, j in _transposition_pairs(keys.shape[0]):
-        np.minimum(keys[i], keys[j], out=lo)
-        np.maximum(keys[i], keys[j], out=hi)
-        keys[i] = lo
-        keys[j] = hi
-    return keys
+#: Largest ``d`` :func:`sort_columns` sorts with the Batcher network
+#: (19 comparators at d=8, 63 at d=16); taller planes go to ``np.sort``.
+_NETWORK_MAX_D = 16
 
 
 @lru_cache(maxsize=64)
@@ -135,8 +81,7 @@ def _batcher_pairs(d: int) -> tuple[tuple[int, int], ...]:
     wires both lie below ``d`` — the dropped wires would carry +inf
     padding, which never swaps downward, so the filtered network sorts
     any ``d`` inputs (verified exhaustively by the zero-one principle in
-    the tests).  At ``d = 8`` this is the optimal 19-comparator network,
-    versus the 28 of the odd-even transposition network above.
+    the tests).  At ``d = 8`` this is the optimal 19-comparator network.
     """
     p = 1 << (d - 1).bit_length()
     pairs: list[tuple[int, int]] = []
@@ -162,50 +107,41 @@ def _batcher_pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for (i, j) in pairs if j < d)
 
 
-def _sort_f32_inplace(plane: np.ndarray) -> np.ndarray:
-    """Ascending in-place per-column sort of a NaN-free float32 plane —
-    the fused tensor-core path's sort, run directly on the FP32 distance
-    fragment with native float min/max (no radix-key transform needed).
-    Value-identical to ``np.sort(plane, axis=0)``."""
-    d = plane.shape[0]
-    if d > _BATCHER_MAX_D:
-        plane[...] = np.sort(plane, axis=0)
-        return plane
-    lo = np.empty_like(plane[0])
+def _sort_network(a: np.ndarray) -> None:
+    """Ascending in-place sort of ``a`` along axis 0: the Batcher network
+    for ``d <= _NETWORK_MAX_D``, ``np.sort`` above."""
+    d = a.shape[0]
+    if d > _NETWORK_MAX_D:
+        a[...] = np.sort(a, axis=0)
+        return
+    lo = np.empty_like(a[0])
     for i, j in _batcher_pairs(d):
-        np.minimum(plane[i], plane[j], out=lo)
-        np.maximum(plane[i], plane[j], out=plane[j])
-        plane[i] = lo
-    return plane
+        np.minimum(a[i], a[j], out=lo)
+        np.maximum(a[i], a[j], out=a[j])
+        a[i] = lo
 
 
-def _sort_columns_exact(plane: np.ndarray) -> np.ndarray:
-    """Ascending per-column sort whose output *values* are identical to
-    the bitonic network's — any correct ascending sort of a NaN-free
-    column yields the same value sequence, so only the emulation
-    fidelity (stage-by-stage execution) is given up, never a bit of the
-    result.
+def sort_columns(plane: np.ndarray) -> np.ndarray:
+    """Sort each column (axis 0) of ``plane`` ascending, in place.
 
-    Half precision is the point of doing this: numpy's ``float16``
-    comparisons run a scalar convert-to-float loop, so executing the
-    compare-exchange passes costs ~5x a native integer sort.  IEEE half
-    bit patterns order like their values once negative patterns are
-    flipped (the classic radix-key transform), so halves are sorted as
-    ``uint16`` keys.  Wider dtypes go straight to ``np.sort``.  Columns
-    must be NaN-free (distance planes are by construction; the network's
-    behaviour under NaN is unspecified anyway).
+    ``plane`` must be NaN-free and, for a result bitwise equal to
+    ``np.sort(plane, axis=0)``, hold no negative zero: min/max networks
+    and ``np.sort`` may order ``-0.0`` and ``+0.0`` differently.
+    Distance planes satisfy both by construction.
+
+    numpy's ``float16`` comparisons run a scalar convert-to-float loop,
+    so halves are sorted as ``uint16`` keys: IEEE half bit patterns order
+    like their values once negative patterns are flipped (the classic
+    radix-key transform).  Returns ``plane``.
     """
-    if plane.dtype != np.float16:
-        return np.sort(plane, axis=0)
-    u = np.ascontiguousarray(plane).view(np.uint16)
-    neg = u >> np.uint16(15)
-    keys = u ^ (neg * _U16_REST + _U16_SIGN)
-    if plane.shape[0] <= _NETWORK_MAX_D:
-        keys = _sort_keys_network(keys)
+    if plane.dtype == np.float16:
+        keys = plane.view(np.uint16)
+        keys ^= (keys >> np.uint16(15)) * _U16_REST + _U16_SIGN
+        _sort_network(keys)
+        keys ^= ((keys >> np.uint16(15)) ^ np.uint16(1)) * _U16_REST + _U16_SIGN
     else:
-        keys = np.sort(keys, axis=0)
-    pos = keys >> np.uint16(15)
-    return (keys ^ ((pos ^ np.uint16(1)) * _U16_REST + _U16_SIGN)).view(np.float16)
+        _sort_network(plane)
+    return plane
 
 
 @lru_cache(maxsize=64)
@@ -214,8 +150,8 @@ def _divide_lut_f16(k: int) -> np.ndarray:
 
     ``x / k`` is a unary function of ``x`` for a fixed divisor, and half
     precision has only 2^16 values — so the whole inclusive-average
-    division collapses to a gather.  Built with the very numpy ops the
-    per-row path runs, hence bit-identical by construction (NaN payloads
+    division collapses to a gather.  Built with numpy's own half
+    division, hence bit-identical to it by construction (NaN payloads
     included).
     """
     vals = np.arange(65536, dtype=np.uint16).view(np.float16)
@@ -267,48 +203,6 @@ def _fanin_scan_f16_block(sorted16: np.ndarray) -> np.ndarray:
     return work
 
 
-def bitonic_sort(plane: np.ndarray, count_stages: bool = False):
-    """Bitonic-sort each column of ``plane`` (axis 0) ascending.
-
-    ``plane`` is (d, n) and is padded to the next power of two with the
-    dtype's largest finite value (padding sorts to the bottom and is
-    stripped before returning).  Returns the sorted (d, n) array, plus the
-    stage count when ``count_stages`` is set.
-
-    The network is the standard iterative formulation: for each ``size``
-    (2, 4, ..., p) and each ``stride`` (size/2 ... 1) a full compare-
-    exchange pass runs; on the device every pass ends with a group
-    synchronisation.
-    """
-    d, n = plane.shape
-    p = _next_pow2(d)
-    dtype = plane.dtype
-    pad_value = DTYPE_MAX.get(np.dtype(dtype), np.inf)
-    if p != d:
-        padding = np.full((p - d, n), pad_value, dtype=dtype)
-        work = np.concatenate([plane, padding], axis=0)
-    else:
-        work = plane.copy()
-
-    stages = 0
-    for i_lo, i_hi, asc in _bitonic_network(p):
-        # For each pair (i, i^stride) with i < partner, keep min at i
-        # when the subsequence is ascending, max otherwise.
-        a = work[i_lo]
-        b = work[i_hi]
-        swap = np.where(asc, a > b, a < b)
-        a_new = np.where(swap, b, a)
-        b_new = np.where(swap, a, b)
-        work[i_lo] = a_new
-        work[i_hi] = b_new
-        stages += 1
-
-    out = work[:d]
-    if count_stages:
-        return out, stages
-    return out
-
-
 def fanin_inclusive_scan(plane: np.ndarray, dtype: np.dtype, count_stages: bool = False):
     """Hillis–Steele inclusive scan along axis 0 with per-stage rounding.
 
@@ -328,6 +222,27 @@ def fanin_inclusive_scan(plane: np.ndarray, dtype: np.dtype, count_stages: bool 
     if count_stages:
         return work, stages
     return work
+
+
+def inclusive_average(plane: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """D'' of a NaN-free distance plane: each column sorted ascending
+    (:func:`sort_columns`), fan-in scanned and divided by ``k+1``, all in
+    ``dtype``.
+
+    ``plane`` is scratch: when it already has ``dtype`` it is sorted in
+    place.  Half planes scan in float32 storage with explicit half
+    rounding per stage and divide by table lookup — the same bits as
+    numpy's half arithmetic, without its scalar loops.
+    """
+    d = plane.shape[0]
+    sorted_plane = sort_columns(plane.astype(dtype, copy=False))
+    if dtype == np.float16:
+        keys = f16_keys19(_fanin_scan_f16_block(sorted_plane))
+        keys += np.arange(d, dtype=np.uint32)[:, None] << np.uint32(19)
+        return np.take(_divide_lut19_stack_f16(d), keys)
+    scanned = fanin_inclusive_scan(sorted_plane, dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (scanned / _divisor_column(d, dtype)).astype(dtype)
 
 
 @lru_cache(maxsize=16)
@@ -359,7 +274,8 @@ class SortScanKernel(Kernel):
 
     def run(self, plane: np.ndarray, rows: int = 1) -> np.ndarray:
         """Returns D'' — the (d, n_q) plane of inclusive averages, where row
-        ``k`` holds the mean of the k+1 best per-dimension distances.
+        ``k`` holds the mean of the k+1 best per-dimension distances
+        (:func:`inclusive_average`; ``plane`` is scratch).
 
         Both networks are column-independent, so a row-blocked caller may
         pass ``rows`` logical distance rows side by side as one
@@ -367,69 +283,34 @@ class SortScanKernel(Kernel):
         stages run once over all columns, producing bit-for-bit the
         per-row results.  ``rows`` only affects the cost accounting,
         which stays per *logical* row (``rows`` launches, per-row loop
-        rounds and syncs) so blocked and per-row timings are identical.
+        rounds and syncs, the bitonic network's stage count) so blocked
+        and per-row timings are identical.
         """
         dtype = self.policy.compute
         d = plane.shape[0]
-        if (
-            self.mma_scan
-            and plane.dtype == np.float32
-            and dtype == np.float16
-        ):
-            return self._run_mma(plane, rows)
-        plane_c = plane.astype(dtype, copy=False)
-        if rows > 1:
-            # Blocked fast path: value-exact sort, float32-domain scan
-            # and LUT division.  The per-row path below stays the
-            # faithful stage-by-stage network emulation; both produce
-            # the same bits.
-            sorted_plane = _sort_columns_exact(plane_c)
-            sort_stages = _network_stage_count(_next_pow2(d))
-            scan_stages = max(d - 1, 0).bit_length()
-            if dtype == np.float16:
-                keys = f16_keys19(_fanin_scan_f16_block(sorted_plane))
-                keys += (
-                    np.arange(d, dtype=np.uint32)[:, None] << np.uint32(19)
-                )
-                averaged = np.take(_divide_lut19_stack_f16(d), keys)
-            else:
-                scanned, _ = fanin_inclusive_scan(
-                    sorted_plane, dtype, count_stages=True
-                )
-                divisors = _divisor_column(d, dtype)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    averaged = (scanned / divisors).astype(dtype)
+        if self.mma_scan and plane.dtype == np.float32 and dtype == np.float16:
+            averaged = self._run_mma(plane)
         else:
-            sorted_plane, sort_stages = bitonic_sort(plane_c, count_stages=True)
-            scanned, scan_stages = fanin_inclusive_scan(
-                sorted_plane, dtype, count_stages=True
-            )
-            divisors = _divisor_column(d, dtype)
-            with np.errstate(over="ignore", invalid="ignore"):
-                averaged = (scanned / divisors).astype(dtype)
-        self._record_cost(plane, sort_stages + scan_stages, rows)
+            averaged = inclusive_average(plane, dtype)
+        stages = _network_stage_count(_next_pow2(d)) + max(d - 1, 0).bit_length()
+        self._record_cost(plane, stages, rows)
         return averaged
 
-    def _run_mma(self, plane: np.ndarray, rows: int) -> np.ndarray:
+    def _run_mma(self, plane: np.ndarray) -> np.ndarray:
         """Fused tensor-core sort+scan on the FP32 distance fragment.
 
         ``plane`` is treated as scratch (it is ``TcGemmKernel``'s reused
         panel) and sorted in place; the scanned inclusive averages come
-        back in a reused float32 buffer of the same shape.  Saturated
-        distance planes are non-negative and NaN-free, so native float
-        min/max networks sort them exactly.
+        back in a reused float32 buffer of the same shape.
         """
         d = plane.shape[0]
-        sorted_plane = _sort_f32_inplace(plane)
+        sorted_plane = sort_columns(plane)
         out = getattr(self, "_mma_out", None)
         if out is None or out.shape != plane.shape:
             out = np.empty_like(plane)
             self._mma_out = out
         np.matmul(_scan_tri_f32(d), sorted_plane, out=out)
         np.divide(out, _divisor_column(d, np.dtype(np.float32)), out=out)
-        sort_stages = _network_stage_count(_next_pow2(d))
-        scan_stages = max(d - 1, 0).bit_length()
-        self._record_cost(plane, sort_stages + scan_stages, rows)
         return out
 
     def _record_cost(self, plane: np.ndarray, stages: int, rows: int = 1) -> None:

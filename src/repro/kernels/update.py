@@ -116,24 +116,17 @@ class UpdateKernel(Kernel):
         row_offset: int = 0,
         col_offset: int = 0,
     ) -> None:
-        """Merge plane ``D''`` of (tile-local) reference row ``row``.
+        """Merge plane ``D''`` of (tile-local) reference row ``row``: a
+        one-row :meth:`run_block` of the plane narrowed to storage.
 
         ``row_offset`` maps the tile-local row to the global reference
         index recorded in ``I`` (multi-tile runs pass the tile's origin);
         ``col_offset`` is the tile's global column origin, used only by
         the mirrored row-wise reduce of symmetric self-join tiles.
         """
-        if plane.shape != self.profile.shape:
-            raise ValueError(
-                f"plane shape {plane.shape} != profile shape {self.profile.shape}"
-            )
         plane = plane.astype(self.policy.storage, copy=False)
-        improved = plane < self.profile
-        np.copyto(self.profile, plane, where=improved)
-        np.copyto(self.indices, INDEX_DTYPE.type(row + row_offset), where=improved)
-        if self.mirror_profile is not None:
-            self._merge_mirror_rows(plane[:, None, :], row, col_offset)
-        self._record_cost(plane)
+        self.run_block(plane[:, None, :], row, row_offset=row_offset,
+                       col_offset=col_offset)
 
     def masked_run(
         self,
@@ -143,21 +136,15 @@ class UpdateKernel(Kernel):
         row_offset: int = 0,
         col_offset: int = 0,
     ) -> None:
-        """Merge with an exclusion mask (True = excluded column).
+        """:meth:`run` with an exclusion mask over the plane's columns
+        (True = excluded).
 
         Self-joins exclude trivial matches around the diagonal; the mask is
         applied per row before the min-merge.
         """
         plane = plane.astype(self.policy.storage, copy=False)
-        improved = (plane < self.profile) & ~mask
-        np.copyto(self.profile, plane, where=improved)
-        np.copyto(self.indices, INDEX_DTYPE.type(row + row_offset), where=improved)
-        if self.mirror_profile is not None:
-            storage = self.policy.storage
-            limit = storage.type(DTYPE_MAX[np.dtype(storage)])
-            lifted = np.where(np.broadcast_to(mask, plane.shape), limit, plane)
-            self._merge_mirror_rows(lifted[:, None, :], row, col_offset)
-        self._record_cost(plane)
+        self.run_block(plane[:, None, :], row, row_offset=row_offset,
+                       mask=np.reshape(mask, (1, -1)), col_offset=col_offset)
 
     def run_block(
         self,
@@ -170,9 +157,9 @@ class UpdateKernel(Kernel):
         """Merge a ``(d, rows, n_q)`` block of D'' planes for tile-local
         reference rows ``row0 .. row0+rows-1`` in one step.
 
-        Equivalent to ``rows`` consecutive :meth:`run`/:meth:`masked_run`
-        calls, bit for bit: the block is first reduced over its row axis
-        with ``argmin`` (first occurrence wins, preserving the sequential
+        Equivalent to ``rows`` consecutive one-row merges, bit for bit:
+        the block is first reduced over its row axis with ``argmin``
+        (first occurrence wins, preserving the sequential
         first-minimising-row tie-break), then the single winner per
         column is merged into the running profile with the same strict
         ``<``.  ``mask`` is the (rows, n_q) exclusion mask (True =
@@ -183,7 +170,7 @@ class UpdateKernel(Kernel):
         d, rows, n_q = block.shape
         if (d, n_q) != self.profile.shape:
             raise ValueError(
-                f"block shape {block.shape} != profile shape {self.profile.shape}"
+                f"plane shape {(d, n_q)} != profile shape {self.profile.shape}"
             )
         storage = self.policy.storage
         wide_block = block.dtype.itemsize > storage.itemsize

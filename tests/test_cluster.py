@@ -387,6 +387,58 @@ class TestCoordinatorCrashResume:
         np.testing.assert_array_equal(resumed.profile, clean.profile)
         np.testing.assert_array_equal(resumed.index, clean.index)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_resume_between_split_children_merges_each_once(
+        self, seed, tmp_path
+    ):
+        """The coordinator dies after one OOM-split child is journaled
+        and before a sibling is.  The resume re-splits the parent; the
+        journaled child must be skipped, not merged a second time."""
+        cluster = ClusterSpec(n_nodes=4, gpus_per_node=2)
+        spec = _spec()
+        kwargs = dict(oom_split=True)
+        clean = ClusterDispatcher(
+            cluster, fault_plan=FaultPlan(seed=seed, oom_rate=0.3), **kwargs
+        ).run_journaled(spec, tmp_path / "clean", n_tiles=16)
+
+        path = tmp_path / "journal"
+        plan = spec.plan(n_tiles=16)
+        journal = RunJournal.create(
+            path, spec, plan, extra={"cluster": cluster.to_dict()}
+        )
+        real_record = journal.record
+        children = []
+
+        def crashing_record(execution, accumulator):
+            if execution.tile.tile_id >= plan.next_tile_id:
+                if children:
+                    raise KeyboardInterrupt("coordinator dies between siblings")
+                children.append(execution.tile.tile_id)
+            real_record(execution, accumulator)
+
+        journal.record = crashing_record
+        with pytest.raises(KeyboardInterrupt):
+            ClusterDispatcher(
+                cluster, fault_plan=FaultPlan(seed=seed, oom_rate=0.3), **kwargs
+            ).run(spec, plan=plan, journal=journal)
+        assert len(children) == 1
+
+        resumed = resume_cluster(
+            path, fault_plan=FaultPlan(seed=seed, oom_rate=0.3), **kwargs
+        )
+        keys = [
+            (r["row_start"], r["row_stop"], r["col_start"], r["col_stop"])
+            for r in RunJournal.open(path).completed_records()
+        ]
+        assert len(keys) == len(set(keys))
+        assert resumed.merge_elements == clean.merge_elements
+        assert resumed.tiles_completed == clean.tiles_completed
+        assert resumed.dropped_tiles == 0
+        np.testing.assert_array_equal(
+            resumed.profile.view(np.uint8), clean.profile.view(np.uint8)
+        )
+        np.testing.assert_array_equal(resumed.index, clean.index)
+
     def test_resume_requires_cluster_meta(self, tmp_path):
         spec = _spec()
         RunJournal.create(tmp_path / "j", spec, spec.plan(n_tiles=4))

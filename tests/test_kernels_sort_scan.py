@@ -1,12 +1,21 @@
-"""Unit tests for the sort_&_incl_scan kernel (bitonic sort + fan-in scan)."""
+"""Unit tests for the sort_&_incl_scan kernel (bitonic sort + fan-in scan).
+
+``bitonic_sort`` is the stage-by-stage network of the per-row oracle
+(``tests/kernel_oracle.py``); its stage count is what the kernel's cost
+record charges."""
 
 import numpy as np
 import pytest
 
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.perfmodel import sort_stage_count
-from repro.kernels.sort_scan import SortScanKernel, bitonic_sort, fanin_inclusive_scan
-from repro.precision.modes import policy_for
+from repro.kernels.dist_calc import DistCalcKernel
+from repro.kernels.layout import to_device_layout
+from repro.kernels.precalc import PrecalcKernel
+from repro.kernels.sort_scan import SortScanKernel, fanin_inclusive_scan
+from repro.kernels.tc_gemm import TcGemmKernel
+from repro.precision.modes import TENSOR_CORE_MODES, policy_for
+from tests.kernel_oracle import bitonic_sort
 
 CFG = LaunchConfig(grid=4, block=64)
 
@@ -104,3 +113,49 @@ class TestSortScanKernel:
         plane = np.abs(rng.normal(size=(1, 11)))
         out = SortScanKernel(config=CFG, policy=policy_for("FP64")).run(plane)
         np.testing.assert_allclose(out, plane, rtol=1e-12)
+
+
+class TestDistancePlanesHoldNoNegativeZero:
+    """:func:`sort_columns` equals ``np.sort`` bitwise only on planes
+    without ``-0.0`` (min/max networks and ``np.sort`` may order signed
+    zeros differently).  Pin that no main loop emits one, on inputs that
+    produce many exact zeros: an exactly repeated pattern, constant
+    windows and FP16 overflow."""
+
+    @staticmethod
+    def _series(rng, n=160, d=3):
+        base = rng.normal(size=(n, d)).cumsum(axis=0)
+        base[100:124] = base[20:44]  # exact matches
+        base[60:80] = 2.5  # constant windows
+        overflow = (rng.normal(size=(n, d)) * 500).cumsum(axis=0)
+        return base, overflow
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "main_loop, mode",
+        [("vector", mode) for mode in ("FP64", "FP32", "Mixed", "FP16", "FP16C")]
+        + [("tensor_core", mode.value) for mode in TENSOR_CORE_MODES],
+    )
+    def test_no_negative_zero(self, rng, main_loop, mode):
+        policy = policy_for(mode)
+        zeros = negative = 0
+        for series in self._series(rng):
+            dev = to_device_layout(series, policy.storage)
+            m = 16
+            pre = PrecalcKernel(config=CFG, policy=policy).run(dev, dev, m)
+            kernel_cls = TcGemmKernel if main_loop == "tensor_core" else DistCalcKernel
+            dist = kernel_cls(config=CFG, policy=policy)
+            dist.bind(pre)
+            sort_scan = SortScanKernel(
+                config=CFG, policy=policy, mma_scan=main_loop == "tensor_core"
+            )
+            for i0, b in ((0, 1), (1, 16), (17, 1), (18, pre.n_r_seg - 18)):
+                ws = np.empty((pre.d, b, pre.n_q_seg), dtype=policy.compute)
+                block = dist.run_block(i0, b, ws).copy()
+                averaged = sort_scan.run(block.reshape(pre.d, -1).copy(), rows=b)
+                for plane in (block, averaged):
+                    is_zero = plane == 0
+                    zeros += int(is_zero.sum())
+                    negative += int((is_zero & np.signbit(plane)).sum())
+        assert zeros > 0
+        assert negative == 0

@@ -7,9 +7,10 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.tiling import assign_tiles, compute_tile_list, tile_grid_shape
 from repro.gpu.kernel import LaunchConfig, grid_stride_chunks
-from repro.kernels.sort_scan import bitonic_sort, fanin_inclusive_scan
+from repro.kernels.sort_scan import fanin_inclusive_scan, sort_columns
 from repro.precision.arithmetic import quantize, saturate_cast
 from repro.precision.kahan import kahan_sum, naive_sum
+from tests.kernel_oracle import bitonic_sort
 
 finite_floats = st.floats(
     min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False
@@ -39,6 +40,34 @@ class TestBitonicSortProperties:
     @settings(max_examples=40, deadline=None)
     def test_fp16_matches_npsort(self, plane):
         np.testing.assert_array_equal(bitonic_sort(plane), np.sort(plane, axis=0))
+
+
+def _nonneg_planes(draw_dtype):
+    """(d, n) non-negative planes with ties, +0, subnormals and the dtype
+    maximum; d crosses the network/``np.sort`` threshold at 16."""
+    dtype = np.dtype(draw_dtype)
+    info = np.finfo(dtype)
+    specials = [0.0, float(info.smallest_subnormal),
+                3 * float(info.smallest_subnormal), float(info.tiny), 1.0,
+                float(info.max)]
+    elements = st.one_of(
+        st.sampled_from(specials),
+        st.floats(0.0, float(info.max), width=8 * dtype.itemsize,
+                  allow_nan=False, allow_infinity=False),
+    )
+    return arrays(dtype, st.tuples(st.integers(1, 20), st.integers(1, 300)),
+                  elements=elements)
+
+
+class TestSortColumnsProperties:
+    @given(st.sampled_from([np.float16, np.float32, np.float64]).flatmap(
+        _nonneg_planes))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_npsort_bitwise(self, plane):
+        plane[plane == 0] = 0  # distance planes hold no negative zero
+        expected = np.sort(plane, axis=0)
+        out = sort_columns(plane)
+        assert np.array_equal(out.view(np.uint8), expected.view(np.uint8))
 
 
 class TestScanProperties:

@@ -4,10 +4,11 @@ The row-blocked main loop (``RunConfig.row_block``) and the parallel
 tile dispatcher (``execute_plan(parallel_workers=...)``) are pure
 performance features: every test here pins the contract that they change
 *nothing* observable — profiles, indices, per-kernel costs and the
-modelled timeline are bit-for-bit those of the original per-row,
-serial execution, for every precision mode, dimensionality, block size,
-join type and sort strategy, including the degenerate inputs that force
-the half-precision fast paths onto their scalar fallbacks.  Tiles taller
+modelled timeline are bit-for-bit those of the per-row, serial
+reference execution (``tests/kernel_oracle.py``), for every precision
+mode, dimensionality, block size, join type and sort strategy, including
+the degenerate inputs that force the half-precision fast paths onto
+their scalar fallbacks.  Tiles taller
 than wide run budget-sized blocks that walk the recurrence column by
 column; the same contract covers them.
 """
@@ -39,17 +40,21 @@ from repro.kernels._f16fast import (
 )
 from repro.kernels.layout import to_device_layout
 from repro.streams.incremental import IncrementalMatrixProfile
+from tests.kernel_oracle import run_tile_per_row
 
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
 
 
 def _run(tr, tq, m, cfg, row_block, strategy="bitonic", ez=None,
          col_offset=0, mirror=False):
-    out = run_tile(
-        tr, tq, m, cfg.policy, cfg.launch, col_offset=col_offset,
-        exclusion_zone=ez, sort_strategy=strategy, row_block=row_block,
-        mirror=mirror,
-    )
+    """``run_tile`` at ``row_block``, or the per-row oracle for ``None``."""
+    kwargs = dict(col_offset=col_offset, exclusion_zone=ez,
+                  sort_strategy=strategy, mirror=mirror)
+    if row_block is None:
+        out = run_tile_per_row(tr, tq, m, cfg.policy, cfg.launch, **kwargs)
+    else:
+        out = run_tile(tr, tq, m, cfg.policy, cfg.launch,
+                       row_block=row_block, **kwargs)
     costs = {k: vars(v).copy() for k, v in out.costs.items()}
     return (out.profile, out.indices, costs, out.mirror_profile,
             out.mirror_indices)
@@ -83,7 +88,8 @@ def _tall_tiles(tr, m, rows_per_block, monkeypatch):
 
 
 class TestKernelBitIdentity:
-    """Blocked execution == per-row execution at the run_tile level."""
+    """Every block size, one-row blocks included, == the per-row oracle
+    (``tests/kernel_oracle.py``) at the run_tile level."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -99,18 +105,19 @@ class TestKernelBitIdentity:
         )
         for strategy in ("bitonic", "batch"):
             for tq_used, ez in ((tr, m // 2), (tq, None)):  # self- and AB-join
-                base = _run(tr, tq_used, m, cfg, 1, strategy, ez)
-                for blk in (7, 64, 500):  # incl. one block > n_r_seg
+                base = _run(tr, tq_used, m, cfg, None, strategy, ez)
+                for blk in (1, 7, 64, 500):  # incl. one block > n_r_seg
                     got = _run(tr, tq_used, m, cfg, blk, strategy, ez)
                     _assert_same(base, got, f"{mode} d={d} {strategy} blk={blk}")
-            # 153-row tiles: 48-row column-walked blocks (blk=7), the
-            # row_block floor (64) and one whole-tile block (500).
+            # 153-row tiles: one-row blocks (blk=1), 48-row column-walked
+            # blocks (blk=7), the row_block floor (64) and one whole-tile
+            # block (500).
             for label, tq_used, c0, mirror in _tall_tiles(
                 long_tr, m, 48, monkeypatch
             ):
-                base = _run(long_tr, tq_used, m, cfg, 1, strategy, m // 2,
+                base = _run(long_tr, tq_used, m, cfg, None, strategy, m // 2,
                             c0, mirror)
-                for blk in (7, 64, 500):
+                for blk in (1, 7, 64, 500):
                     got = _run(long_tr, tq_used, m, cfg, blk, strategy,
                                m // 2, c0, mirror)
                     _assert_same(
@@ -136,14 +143,14 @@ class TestKernelBitIdentity:
         cfg = RunConfig(mode=mode)
         for ref in series:
             tr = to_device_layout(ref, cfg.policy.storage)
-            base = _run(tr, tr, m, cfg, 1, ez=m // 2)
-            for blk in (16, 500):
+            base = _run(tr, tr, m, cfg, None, ez=m // 2)
+            for blk in (1, 16, 500):
                 got = _run(tr, tr, m, cfg, blk, ez=m // 2)
                 _assert_same(base, got, f"degenerate {mode} blk={blk}")
             for label, tq, c0, mirror in _tall_tiles(tr, m, 24, monkeypatch):
-                base = _run(tr, tq, m, cfg, 1, ez=m // 2, col_offset=c0,
+                base = _run(tr, tq, m, cfg, None, ez=m // 2, col_offset=c0,
                             mirror=mirror)
-                for blk in (16, 500):
+                for blk in (1, 16, 500):
                     got = _run(tr, tq, m, cfg, blk, ez=m // 2, col_offset=c0,
                                mirror=mirror)
                     _assert_same(

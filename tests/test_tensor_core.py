@@ -21,7 +21,7 @@ from repro.gpu.device import SKYLAKE16
 from repro.gpu.occupancy import launch_for_full_occupancy
 from repro.kernels.layout import to_device_layout
 from repro.kernels.precalc import PrecalcKernel
-from repro.kernels.sort_scan import _batcher_pairs
+from repro.kernels.sort_scan import _NETWORK_MAX_D, _batcher_pairs, sort_columns
 from repro.kernels.tc_gemm import TcGemmKernel
 from repro.kernels.update import UpdateKernel
 from repro.precision.errors import tc_gemm_error_bound
@@ -117,15 +117,18 @@ class TestQuantiseF16:
 
 
 class TestBatcherNetwork:
-    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("d", range(1, 17))
     def test_zero_one_principle_exhaustive(self, d):
-        pairs = _batcher_pairs(d)
-        for bits in range(2**d):
-            a = np.array([(bits >> i) & 1 for i in range(d)], dtype=np.float32)
-            for i, j in pairs:
-                if a[i] > a[j]:
-                    a[i], a[j] = a[j], a[i]
-            assert (np.diff(a) >= 0).all(), (d, bits)
+        """Every 0/1 column of height ``d``, as one (d, 2^d) plane, leaves
+        the production sort (the Batcher network up to d = 16) sorted."""
+        assert d <= _NETWORK_MAX_D
+        bits = np.arange(2**d, dtype=np.uint32)
+        ones = (bits[None, :] >> np.arange(d, dtype=np.uint32)[:, None]) & 1
+        expected = np.sort(ones, axis=0)
+        for dtype in (np.float16, np.float32, np.float64):
+            plane = ones.astype(dtype)
+            assert sort_columns(plane) is plane
+            assert np.array_equal(plane, expected.astype(dtype)), (d, dtype)
 
     @pytest.mark.parametrize("d", [10, 13, 16])
     def test_sorts_random_inputs(self, d):
