@@ -79,11 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(exact = streaming accumulator, bit-identical to per-tile; "
         "fft = MASS-style convolution, FP64/FP32 only)",
     )
-    p.add_argument(
-        "--no-amortize-precalc", action="store_true",
-        help="recompute window statistics inside every tile instead of "
-        "slicing the plan-level precalc plane (debug/comparison knob)",
-    )
     p.add_argument("--output", help="write P and I as CSV to this prefix")
     p.add_argument("--top", type=int, default=3, help="motifs to print")
     p.add_argument(
@@ -343,7 +338,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         journal=args.journal,
         row_block=args.row_block,
         parallel_workers=args.tile_workers,
-        amortize_precalc=False if args.no_amortize_precalc else None,
         precalc_strategy=args.precalc_strategy,
         auto=args.auto,
         target_error=args.target_error,

@@ -102,9 +102,6 @@ class RunConfig:
     #: "bitonic" (the paper's cooperative kernel) or "batch" (the rejected
     #: one-thread-per-sort alternative, kept as an executable ablation).
     sort_strategy: str = "bitonic"
-    #: Skip the sort/scan kernel entirely when d == 1 (it is the identity
-    #: there) — the fast path the turbine case study (d=1) benefits from.
-    fast_path_1d: bool = True
     #: Rows of the main loop executed per super-step: ``dist_calc`` keeps
     #: its sequential QT recurrence but fills ``row_block`` consecutive
     #: row planes into one workspace, and the column-independent
@@ -119,19 +116,12 @@ class RunConfig:
     #: nor the modelled costs.  32 keeps the block workspace
     #: cache-resident and measures fastest.
     row_block: int = 32
-    #: Compute the window-statistics planes (mu/inv/df/dg) once per plan
-    #: and batch the per-tile seed dots, instead of restarting the full
-    #: precalculation per tile.  Bit-exact (the planes are window-local,
-    #: so tile slices are elementwise identical) — purely an execution
-    #: amortisation, which is why it is on by default and excluded from
-    #: ``cache_key()`` just like ``row_block``.
-    amortize_precalc: bool = True
-    #: How the amortised layer evaluates the seed QT dot products:
-    #: ``"exact"`` (the paper's sequential naive dot, bit-identical to
-    #: per-tile precalculation) or ``"fft"`` (MASS-style sliding dot
-    #: product — O(n log n) but *not* bit-identical, so it is opt-in,
-    #: restricted to the FP64/FP32 modes where the error stays within
-    #: the analytic dot-product bound, and it *does* enter
+    #: How the plan's precalc plane cache evaluates the seed QT dot
+    #: products: ``"exact"`` (the paper's sequential naive dot,
+    #: bit-identical to per-tile precalculation) or ``"fft"`` (MASS-style
+    #: sliding dot product — O(n log n) but *not* bit-identical, so it is
+    #: opt-in, restricted to the FP64/FP32 modes where the error stays
+    #: within the analytic dot-product bound, and it *does* enter
     #: ``cache_key()``).
     precalc_strategy: str = "exact"
     #: Main-loop execution backend: ``"numeric"`` (the paper's vector
@@ -212,11 +202,6 @@ class RunConfig:
                     "precalc_strategy='fft' is validated only for the FP64 "
                     f"and FP32 modes, got {self.mode.value}"
                 )
-            if not self.amortize_precalc:
-                raise ValueError(
-                    "precalc_strategy='fft' requires amortize_precalc=True "
-                    "(the FFT seeds live in the amortisation layer)"
-                )
 
     @property
     def policy(self) -> PrecisionPolicy:
@@ -294,11 +279,9 @@ class RunConfig:
             "n_streams": self.n_streams,
             "exclusion_zone": self.exclusion_zone,
             "sort_strategy": self.sort_strategy,
-            "fast_path_1d": self.fast_path_1d,
             "row_block": self.row_block,
             "backend": self.backend,
             "symmetric_tiles": self.symmetric_tiles,
-            "amortize_precalc": self.amortize_precalc,
             "precalc_strategy": self.precalc_strategy,
             "parallel_workers": self.parallel_workers,
             "retry_policy": (
@@ -323,13 +306,12 @@ class RunConfig:
 
         Two configs share a key iff :meth:`to_dict` agrees on every field
         that can change the result — the numerics knobs (mode, tile
-        count, exclusion zone, sort strategy, 1-d fast path) and the
-        performance-model knobs.  ``row_block``, ``amortize_precalc``
-        and ``parallel_workers`` are excluded: row-blocked execution,
-        amortised precalculation and parallel tile dispatch are bit-exact
-        and cost-identical, so cached results are shared across those
-        knobs.  ``precalc_strategy``, ``backend`` and ``symmetric_tiles``
-        *are* included — the FFT seeds, the tensor-core main loop and the
+        count, exclusion zone, sort strategy) and the performance-model
+        knobs.  ``row_block`` and ``parallel_workers`` are excluded:
+        row-blocked execution and parallel tile dispatch are bit-exact and
+        cost-identical, so cached results are shared across those knobs.
+        ``precalc_strategy``, ``backend`` and ``symmetric_tiles`` *are*
+        included — the FFT seeds, the tensor-core main loop and the
         mirrored triangular grid are not bit-identical.
         """
         fields = {
@@ -338,7 +320,6 @@ class RunConfig:
             if k
             not in (
                 "row_block",
-                "amortize_precalc",
                 "parallel_workers",
                 "retry_policy",
             )

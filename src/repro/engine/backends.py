@@ -186,7 +186,6 @@ def run_tile(
     col_offset: int = 0,
     exclusion_zone: int | None = None,
     sort_strategy: str = "bitonic",
-    fast_path_1d: bool = True,
     row_block: int = 1,
     workspace: "WorkspacePool | None" = None,
     precalc: "PreparedPrecalc | None" = None,
@@ -200,8 +199,9 @@ def run_tile(
     distance matrix (indices recorded in the output are global).
     ``exclusion_zone`` (for self-joins) suppresses matches with
     ``|global_row - global_col| <= zone``.  ``sort_strategy`` selects the
-    cooperative bitonic kernel or the batch-based ablation alternative;
-    ``fast_path_1d`` skips the sort/scan entirely for d == 1 (identity).
+    cooperative bitonic kernel or the batch-based ablation alternative.
+    For d == 1 the sort/scan is skipped: it returns a ``(1, n)`` plane
+    unchanged, so skipping it is exact.
 
     The main loop runs in super-steps of ``row_block`` reference rows
     (``row_block=1`` runs one-row blocks): ``dist_calc`` fills a leased
@@ -218,14 +218,15 @@ def run_tile(
     amortises the host dispatch overhead.  ``workspace`` is an optional
     :class:`WorkspacePool` reused across calls.
 
-    ``precalc`` is an optional :class:`~repro.kernels.precalc.
-    PreparedPrecalc` assembled by the plan-level
-    :class:`~repro.engine.precalc_cache.PrecalcPlaneCache`: its result
+    ``precalc`` is the tile's :class:`~repro.kernels.precalc.
+    PreparedPrecalc` from the plan's plane cache (every engine tile
+    passes one; see :meth:`NumericBackend.run`): its result
     (bit-identical to running :class:`PrecalcKernel` here) is used
-    directly and its pre-computed cost stands in for the kernel's.  The
-    device uploads are unchanged either way — the tile still needs both
-    series resident for the main loop, so H2D accounting and the memory
-    footprint stay as they were.
+    directly and its pre-computed cost stands in for the kernel's.
+    Without it (direct kernel-level callers) the tile runs
+    :class:`PrecalcKernel` itself.  The device uploads are unchanged
+    either way — the tile still needs both series resident for the main
+    loop, so H2D accounting and the memory footprint stay as they were.
 
     ``main_loop`` selects the main-loop execution path: ``"vector"`` (the
     paper's row-wise recurrence) or ``"tensor_core"`` (the
@@ -279,7 +280,6 @@ def run_tile(
         else:
             sort_scan = SortScanKernel(config=launch, policy=policy)
     update = UpdateKernel(config=launch, policy=policy)
-    skip_sort = fast_path_1d and d == 1
 
     if precalc is None:
         precalc_kernel = PrecalcKernel(config=launch, policy=policy)
@@ -308,7 +308,7 @@ def run_tile(
             dist_blk = dist.run_block(
                 i0, b, None if qt_ws is None else qt_ws[:, :b, :]
             )
-            if skip_sort:
+            if d == 1:
                 avg_blk = dist_blk
             else:
                 flat = dist_blk.reshape(d, b * n_q_seg)
@@ -462,10 +462,7 @@ class NumericBackend:
         # Amortised precalculation: assembled host-side before any device
         # allocation, so a device OOM cannot strand a half-built plane
         # cache and the (locked) plane build never holds device memory.
-        prepared = None
-        cache = getattr(plan, "precalc_cache", None)
-        if cache is not None:
-            prepared = cache.prepare(plan, tile)
+        prepared = plan.precalc_cache.prepare(plan, tile)
         with ExitStack() as stack:
             with self._lock:
                 tr_alloc = gpu.memory.upload(
@@ -512,7 +509,6 @@ class NumericBackend:
                 col_offset=tile.col_start,
                 exclusion_zone=spec.exclusion_zone,
                 sort_strategy=config.sort_strategy,
-                fast_path_1d=config.fast_path_1d,
                 row_block=plan.row_block,
                 workspace=self._workspace_pool(),
                 precalc=prepared,
@@ -527,7 +523,7 @@ class NumericBackend:
         return TileExecution(
             tile=tile, timing=timing, output=output, h2d_saved_bytes=saved,
             mode=policy.mode,
-            precalc_saved_flops=prepared.saved_flops if prepared else 0.0,
+            precalc_saved_flops=prepared.saved_flops,
         )
 
     def _free(self, alloc) -> None:

@@ -333,14 +333,12 @@ class JobSpec:
         if assignment is None:
             n_gpus = n_gpus if n_gpus is not None else self.config.n_gpus
             assignment = assign_tiles(tiles, n_gpus)
-        tr_layout = tq_layout = None
-        precalc_cache = None
+        tr_layout = tq_layout = precalc_cache = None
         if not self.is_modeled:
             tr_layout, tq_layout = self.layouts()
-            if self.config.amortize_precalc:
-                precalc_cache = PrecalcPlaneCache(
-                    store=precalc_store, base_mode=self.config.mode
-                )
+            precalc_cache = PrecalcPlaneCache(
+                store=precalc_store, base_mode=self.config.mode
+            )
         return ExecutionPlan(
             spec=self,
             tiles=tiles,
@@ -366,8 +364,8 @@ class ExecutionPlan:
     assignment: list[int]
     tr_layout: np.ndarray | None = None
     tq_layout: np.ndarray | None = None
-    #: Plan-level amortised precalculation (None for modeled plans or
-    #: when ``config.amortize_precalc`` is off); escalated plans share
+    #: Plan-level amortised precalculation, the source of every numeric
+    #: tile's precalc (None for modeled plans); escalated plans share
     #: their parent's instance so escalation populates new mode planes
     #: in the same cache.
     precalc_cache: "PrecalcPlaneCache | None" = None

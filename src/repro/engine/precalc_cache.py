@@ -67,16 +67,65 @@ from ..gpu.kernel import KernelCost
 from ..kernels.precalc import (
     PrecalcResult,
     PreparedPrecalc,
-    _delta_coefficients,
-    _window_stats,
     fft_seed_qt_rows,
     plane_cost,
     seed_cost,
     seed_qt_rows,
+    window_planes,
 )
 from ..precision.modes import PrecisionMode
 
-__all__ = ["PrecalcPlaneCache"]
+__all__ = ["PrecalcPlaneCache", "assemble_tile"]
+
+
+def _restarted(plane, start: int, stop: int):
+    """A ``df``/``dg`` slice with the tile-local restart ``[:, 0] = 0``
+    (each tile's streaming recurrence starts fresh at its own row/col 0),
+    hence a copy."""
+    out = plane[:, start:stop].copy()
+    out[:, 0] = 0
+    return out
+
+
+def assemble_tile(spec, tile, r, q, qt_row0, qt_col0, charge=None) -> PreparedPrecalc:
+    """``tile``'s precalculation from role planes ``r``/``q`` (the
+    :func:`~repro.kernels.precalc.window_planes` of the full reference and
+    query series) and the tile's seeds.
+
+    ``mu``/``inv`` are served zero-copy.  The cost is the tile's seed-dot
+    work plus ``charge`` (plane work this tile carries, if any);
+    ``saved_flops`` is the tile's own plane work minus that charge.
+    """
+    r0, r1 = tile.row_start, tile.row_stop
+    c0, c1 = tile.col_start, tile.col_stop
+    result = PrecalcResult(
+        m=spec.m,
+        mu_r=r["mu"][:, r0:r1],
+        inv_r=r["inv"][:, r0:r1],
+        df_r=_restarted(r["df"], r0, r1),
+        dg_r=_restarted(r["dg"], r0, r1),
+        mu_q=q["mu"][:, c0:c1],
+        inv_q=q["inv"][:, c0:c1],
+        df_q=_restarted(q["df"], c0, c1),
+        dg_q=_restarted(q["dg"], c0, c1),
+        qt_row0=qt_row0,
+        qt_col0=qt_col0,
+    )
+    cost = seed_cost(
+        tile.n_rows,
+        tile.n_cols,
+        spec.d,
+        spec.m,
+        tile.n_rows + spec.m - 1,
+        tile.n_cols + spec.m - 1,
+        spec.policy,
+        spec.config.launch,
+    )
+    saved = plane_cost(tile.n_rows, tile.n_cols, spec.d, spec.policy).flops
+    if charge is not None:
+        cost = cost + charge
+        saved -= charge.flops
+    return PreparedPrecalc(result=result, cost=cost, saved_flops=saved)
 
 
 class _ModePlanes:
@@ -143,8 +192,6 @@ class PrecalcPlaneCache:
         ``saved_flops`` records the plane work this tile did not redo.
         """
         spec = plan.spec
-        policy = spec.policy
-        m = spec.m
         mode = PrecisionMode.parse(spec.config.mode)
         with self._lock:
             planes = self._planes.get(mode)
@@ -153,57 +200,25 @@ class PrecalcPlaneCache:
                 self._planes[mode] = planes
             self._ensure_seeds(planes, plan, tile)
 
-            claimed = False
+            charge = None
             if planes.charge is not None:
                 if mode == self._base_mode:
-                    claimed = tile.tile_id == min(
-                        t.tile_id for t in plan.tiles
-                    )
+                    if tile.tile_id == min(t.tile_id for t in plan.tiles):
+                        charge = planes.charge
                 elif not planes.charge_claimed:
                     planes.charge_claimed = True
-                    claimed = True
-
-            r0, r1 = tile.row_start, tile.row_stop
-            c0, c1 = tile.col_start, tile.col_stop
-            # df/dg need the tile-boundary fixup (each tile's streaming
-            # recurrence starts fresh at its own row/col 0), so those
-            # slices are copies; mu/inv are served zero-copy.
-            df_r = planes.r["df"][:, r0:r1].copy()
-            dg_r = planes.r["dg"][:, r0:r1].copy()
-            df_r[:, 0] = 0
-            dg_r[:, 0] = 0
-            df_q = planes.q["df"][:, c0:c1].copy()
-            dg_q = planes.q["dg"][:, c0:c1].copy()
-            df_q[:, 0] = 0
-            dg_q[:, 0] = 0
-            result = PrecalcResult(
-                m=m,
-                mu_r=planes.r["mu"][:, r0:r1],
-                inv_r=planes.r["inv"][:, r0:r1],
-                df_r=df_r,
-                dg_r=dg_r,
-                mu_q=planes.q["mu"][:, c0:c1],
-                inv_q=planes.q["inv"][:, c0:c1],
-                df_q=df_q,
-                dg_q=dg_q,
-                qt_row0=planes.row_seeds[r0][:, c0:c1],
-                qt_col0=planes.col_seeds[c0][:, r0:r1],
+                    charge = planes.charge
+            row_seed = planes.row_seeds[tile.row_start]
+            col_seed = planes.col_seeds[tile.col_start]
+            return assemble_tile(
+                spec,
+                tile,
+                planes.r,
+                planes.q,
+                row_seed[:, tile.col_start : tile.col_stop],
+                col_seed[:, tile.row_start : tile.row_stop],
+                charge,
             )
-            cost = seed_cost(
-                tile.n_rows,
-                tile.n_cols,
-                spec.d,
-                m,
-                tile.n_rows + m - 1,
-                tile.n_cols + m - 1,
-                policy,
-                spec.config.launch,
-            )
-            saved = plane_cost(tile.n_rows, tile.n_cols, spec.d, policy).flops
-            if claimed:
-                cost = cost + planes.charge
-                saved -= planes.charge.flops
-            return PreparedPrecalc(result=result, cost=cost, saved_flops=saved)
 
     # ------------------------------------------------------------------
 
@@ -212,26 +227,10 @@ class PrecalcPlaneCache:
         mode = PrecisionMode.parse(spec.config.mode)
         return (digest, layout.shape, str(layout.dtype), spec.m, mode.value)
 
-    @staticmethod
-    def _build_role(series_pd, m, policy, pdtype, sdtype) -> dict:
-        """One series role's planes, exactly as ``PrecalcKernel.run``
-        computes them over the full series."""
-        mu_pd, inv_pd = _window_stats(series_pd, m, policy)
-        df_pd, dg_pd = _delta_coefficients(series_pd, mu_pd, m, pdtype)
-        return {
-            "mu_pd": mu_pd,  # precalc-dtype mean plane: seed-dot input
-            "mu": mu_pd.astype(sdtype),
-            "inv": inv_pd.astype(sdtype),
-            "df": df_pd.astype(sdtype),
-            "dg": dg_pd.astype(sdtype),
-        }
-
     def _build_planes(self, plan) -> _ModePlanes:
         spec = plan.spec
         policy = spec.policy
-        m = spec.m
         pdtype = policy.precalc
-        sdtype = policy.storage
         self_join = plan.tq_layout is plan.tr_layout
         tr_pd = plan.tr_layout.astype(pdtype, copy=False)
         tq_pd = tr_pd if self_join else plan.tq_layout.astype(pdtype, copy=False)
@@ -241,7 +240,7 @@ class PrecalcPlaneCache:
             entry = self._store.get(key) if self._store is not None else None
             if entry is not None:
                 return entry, False
-            entry = self._build_role(series_pd, m, policy, pdtype, sdtype)
+            entry = window_planes(series_pd, spec.m, policy)
             if self._store is not None:
                 self._store.put(key, entry)
             return entry, True
@@ -279,8 +278,11 @@ class PrecalcPlaneCache:
         policy = spec.policy
         m = spec.m
         sdtype = policy.storage
-        strategy = getattr(spec.config, "precalc_strategy", "exact")
-        seeds_fn = fft_seed_qt_rows if strategy == "fft" else seed_qt_rows
+        seeds_fn = (
+            fft_seed_qt_rows
+            if spec.config.precalc_strategy == "fft"
+            else seed_qt_rows
+        )
 
         row_needed = {t.row_start for t in plan.tiles}
         row_needed.add(tile.row_start)

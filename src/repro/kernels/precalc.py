@@ -29,6 +29,7 @@ __all__ = [
     "PrecalcResult",
     "PrecalcKernel",
     "PreparedPrecalc",
+    "window_planes",
     "seed_qt_rows",
     "fft_seed_qt_rows",
     "seed_cost",
@@ -177,39 +178,30 @@ def _delta_coefficients(
     return df, dg
 
 
-def _centered_dot_against(
-    fixed_seg: np.ndarray,
-    fixed_mu: np.ndarray,
-    series: np.ndarray,
-    mu: np.ndarray,
-    m: int,
-    policy: PrecisionPolicy,
-) -> np.ndarray:
-    """Naive centred dot products of one fixed segment against all segments.
+def window_planes(
+    series_pd: np.ndarray, m: int, policy: PrecisionPolicy
+) -> dict:
+    """One series role's window-statistics planes.
 
-    ``out[k, j] = sum_t (fixed[k, t] - fixed_mu[k]) * (series[k, j+t] - mu[k, j])``
-
-    Accumulated sequentially over ``t`` in the precalc dtype (one rounded
-    FMA per step), with optional Kahan compensation — this is the "naive
-    (non-streaming) dot product formulation" of Section III-A, one thread
-    per output element on the device.
+    ``series_pd`` is (d, len) in the precalc dtype.  Returns ``mu_pd``
+    (the precalc-dtype means, input of the seed dots) and the
+    storage-dtype planes ``mu``, ``inv``, ``df`` and ``dg``, each
+    ``(d, len - m + 1)``.  Every element is a function of its own window
+    (``df``/``dg`` also of the window before it), so the planes of a
+    sub-range of the series are slices of the full-series planes, bit for
+    bit, apart from the ``df[:, 0] = dg[:, 0] = 0`` of the sub-range's
+    first window.
     """
-    dtype = policy.precalc
-    d, n_seg = mu.shape
-    acc = _Accumulator((d, n_seg), dtype, policy.compensated)
-    fixed_centered = (fixed_seg - fixed_mu[:, None]).astype(dtype, copy=False)
-    # Hoisted column views + reused scratch buffers: the per-iteration
-    # subtract/multiply are the same ufuncs on the same values as the
-    # temporaries they replace — bit-identical, just allocation-free.
-    cols = [fixed_centered[:, t : t + 1] for t in range(m)]
-    diff = np.empty((d, n_seg), dtype=dtype)
-    term = np.empty((d, n_seg), dtype=dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(m):
-            np.subtract(series[:, t : t + n_seg], mu, out=diff)
-            np.multiply(cols[t], diff, out=term)
-            acc.add(term)
-    return acc.value
+    sdtype = policy.storage
+    mu_pd, inv_pd = _window_stats(series_pd, m, policy)
+    df_pd, dg_pd = _delta_coefficients(series_pd, mu_pd, m, policy.precalc)
+    return {
+        "mu_pd": mu_pd,
+        "mu": mu_pd.astype(sdtype),
+        "inv": inv_pd.astype(sdtype),
+        "df": df_pd.astype(sdtype),
+        "dg": dg_pd.astype(sdtype),
+    }
 
 
 def seed_qt_rows(
@@ -226,11 +218,14 @@ def seed_qt_rows(
 
     ``out[b, k, j] = sum_t (fixed[b, k, t] - fixed_mu[b, k]) *
     (other[k, j+t] - mu_other[k, j])`` where ``fixed[b] =
-    series_fixed[:, starts[b]:starts[b]+m]``.  Each band ``b`` undergoes the
-    exact elementwise subtract/multiply/(Kahan-)add sequence of
-    :func:`_centered_dot_against`, so every slice ``out[b]`` is bit-identical
-    to the per-tile seed — the batching only amortises the Python-level
-    length-``m`` loop across all tiles sharing a reference band.
+    series_fixed[:, starts[b]:starts[b]+m]``.  This is the "naive
+    (non-streaming) dot product formulation" of Section III-A: each output
+    element accumulates sequentially over ``t`` in the precalc dtype (one
+    rounded FMA per step, Kahan-compensated for FP16C).  Every ufunc in
+    the chain is elementwise, so ``out[b]`` is the same bits whether band
+    ``b`` is evaluated alone (one start) or batched with others — the
+    batching only amortises the Python-level length-``m`` loop across all
+    tiles sharing a reference band.
     """
     dtype = policy.precalc
     d, n_seg = mu_other.shape
@@ -402,31 +397,25 @@ class PrecalcKernel(Kernel):
 
         tr = tr_dev.astype(pdtype, copy=False)
         tq = tr if same else tq_dev.astype(pdtype, copy=False)
-
-        mu_r, inv_r = _window_stats(tr, m, policy)
-        mu_q, inv_q = (mu_r, inv_r) if same else _window_stats(tq, m, policy)
-        df_r, dg_r = _delta_coefficients(tr, mu_r, m, pdtype)
-        df_q, dg_q = (
-            (df_r, dg_r) if same else _delta_coefficients(tq, mu_q, m, pdtype)
-        )
-
-        qt_row0 = _centered_dot_against(tr[:, :m], mu_r[:, 0], tq, mu_q, m, policy)
+        r = window_planes(tr, m, policy)
+        q = r if same else window_planes(tq, m, policy)
+        qt_row0 = seed_qt_rows(tr, [0], tq, r["mu_pd"], q["mu_pd"], m, policy)[0]
         qt_col0 = (
             qt_row0
             if same
-            else _centered_dot_against(tq[:, :m], mu_q[:, 0], tr, mu_r, m, policy)
+            else seed_qt_rows(tq, [0], tr, q["mu_pd"], r["mu_pd"], m, policy)[0]
         )
 
         result = PrecalcResult(
             m=m,
-            mu_r=mu_r.astype(sdtype),
-            inv_r=inv_r.astype(sdtype),
-            df_r=df_r.astype(sdtype),
-            dg_r=dg_r.astype(sdtype),
-            mu_q=mu_q.astype(sdtype),
-            inv_q=inv_q.astype(sdtype),
-            df_q=df_q.astype(sdtype),
-            dg_q=dg_q.astype(sdtype),
+            mu_r=r["mu"],
+            inv_r=r["inv"],
+            df_r=r["df"],
+            dg_r=r["dg"],
+            mu_q=q["mu"],
+            inv_q=q["inv"],
+            df_q=q["df"],
+            dg_q=q["dg"],
             qt_row0=qt_row0.astype(sdtype),
             qt_col0=qt_col0.astype(sdtype),
         )
@@ -479,14 +468,9 @@ def naive_qt_row(
     evaluation at arbitrary rows.
     """
     pdtype = policy.precalc
-    # Share the self-join stats exactly as PrecalcKernel.run does — the
-    # second _window_stats pass was pure recomputation when both roles
-    # alias the same device array.
     same = tq_dev is tr_dev
     tr = tr_dev.astype(pdtype, copy=False)
     tq = tr if same else tq_dev.astype(pdtype, copy=False)
     mu_r, _ = _window_stats(tr, m, policy)
     mu_q = mu_r if same else _window_stats(tq, m, policy)[0]
-    return _centered_dot_against(
-        tr[:, row : row + m], mu_r[:, row], tq, mu_q, m, policy
-    )
+    return seed_qt_rows(tr, [row], tq, mu_r, mu_q, m, policy)[0]

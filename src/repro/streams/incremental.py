@@ -11,10 +11,10 @@ tile list would produce — bit for bit, in all five precision modes:
 
 * the window-statistics planes ``mu``/``inv``/``df``/``dg`` are strictly
   window-local, so the new windows' entries are computed from the suffix
-  of the series with the exact per-window ``_Accumulator`` (Kahan for
-  FP16C) semantics of :mod:`repro.kernels.precalc` and appended to the
-  cached planes (:class:`StreamPlaneCache`, the streaming sibling of the
-  PR-5 :class:`~repro.engine.precalc_cache.PrecalcPlaneCache`);
+  of the series by the same :func:`~repro.kernels.precalc.window_planes`
+  builder the batch path uses and appended to the cached planes
+  (:class:`StreamPlaneCache`, the streaming sibling of
+  :class:`~repro.engine.precalc_cache.PrecalcPlaneCache`);
 * the per-tile seeds are naive centred dots evaluated per output column,
   so computing them over the band's column slice is bit-identical to the
   full-pass-then-slice values;
@@ -56,18 +56,11 @@ from ..engine.accumulate import ProfileAccumulator
 from ..engine.backends import NumericBackend
 from ..engine.dispatch import DispatchReport, execute_plan
 from ..engine.plan import JobSpec
+from ..engine.precalc_cache import assemble_tile
 from ..gpu.simulator import GPUSimulator
 from ..gpu.stream import Timeline
 from ..kernels.layout import to_device_layout, validate_stream_samples
-from ..kernels.precalc import (
-    PrecalcResult,
-    PreparedPrecalc,
-    _delta_coefficients,
-    _window_stats,
-    plane_cost,
-    seed_cost,
-    seed_qt_rows,
-)
+from ..kernels.precalc import PreparedPrecalc, plane_cost, seed_qt_rows, window_planes
 from ..precision.modes import PrecisionMode
 
 __all__ = ["StreamPlaneCache", "IncrementalMatrixProfile", "AppendResult"]
@@ -76,16 +69,15 @@ __all__ = ["StreamPlaneCache", "IncrementalMatrixProfile", "AppendResult"]
 class _StreamRole:
     """One series role's growing planes in one precision mode."""
 
-    __slots__ = ("series_pd", "mu_pd", "mu", "inv", "df", "dg", "n_seg")
+    __slots__ = ("series_pd", "planes")
 
-    def __init__(self, d: int, pdtype, sdtype):
-        self.series_pd = np.empty((d, 0), dtype=pdtype)
-        self.mu_pd = np.empty((d, 0), dtype=pdtype)
-        self.mu = np.empty((d, 0), dtype=sdtype)
-        self.inv = np.empty((d, 0), dtype=sdtype)
-        self.df = np.empty((d, 0), dtype=sdtype)
-        self.dg = np.empty((d, 0), dtype=sdtype)
-        self.n_seg = 0
+    def __init__(self):
+        self.series_pd = None  # the role's layout in the precalc dtype
+        self.planes: dict | None = None  # window_planes of series_pd
+
+    @property
+    def n_seg(self) -> int:
+        return 0 if self.planes is None else self.planes["mu"].shape[1]
 
 
 class _StreamModePlanes:
@@ -106,12 +98,12 @@ class StreamPlaneCache:
     ``prepare(plan, tile)`` contract the
     :class:`~repro.engine.backends.NumericBackend` consumes, but instead
     of building full-series planes once, it *appends* to them as the
-    plan's layouts grow between calls: new windows' ``mu``/``inv`` come
-    from a suffix :func:`~repro.kernels.precalc._window_stats` pass and
-    ``df``/``dg`` from a one-window-overlap suffix
-    :func:`~repro.kernels.precalc._delta_coefficients` pass — both
+    plan's layouts grow between calls: the new windows' planes come from
+    one :func:`~repro.kernels.precalc.window_planes` pass over the suffix
+    that starts one window early (that window supplies ``T[i-1]`` and
+    ``mu[i-1]`` to the first new ``df``/``dg``, and is then dropped) —
     bit-identical to the full-pass values because every output element is
-    a function of its own ``m`` samples only.
+    a function of its own window (and, for ``df``/``dg``, the one before).
 
     Seeds are *not* cached: each stream tile's band/column-slice pair is
     used exactly once, so :meth:`prepare` evaluates
@@ -146,36 +138,23 @@ class StreamPlaneCache:
     @staticmethod
     def _extend_role(role: _StreamRole, layout, m: int, policy) -> int:
         """Append planes for ``layout``'s new windows; returns new segs."""
-        pdtype = policy.precalc
-        sdtype = policy.storage
         n_seg = max(0, layout.shape[1] - m + 1)
         old = role.n_seg
         if n_seg <= old:
             return 0
-        series_pd = layout.astype(pdtype, copy=False)
-        # The already-cached prefix is a cast of the same layout prefix —
-        # only the suffix is new (layouts grow by appending samples).
-        role.series_pd = np.concatenate(
-            [role.series_pd, series_pd[:, role.series_pd.shape[1]:]], axis=1
-        )
-        mu_new, inv_new = _window_stats(series_pd[:, old:], m, policy)
-        role.mu_pd = np.concatenate([role.mu_pd, mu_new], axis=1)
-        role.mu = np.concatenate([role.mu, mu_new.astype(sdtype)], axis=1)
-        role.inv = np.concatenate([role.inv, inv_new.astype(sdtype)], axis=1)
+        # Layouts grow by appending samples, so the cast of the new layout
+        # extends the cached cast.
+        role.series_pd = layout.astype(policy.precalc, copy=False)
         if old == 0:
-            df_new, dg_new = _delta_coefficients(
-                series_pd, role.mu_pd, m, pdtype
-            )
+            role.planes = window_planes(role.series_pd, m, policy)
         else:
             # One window of overlap supplies T[i-1] and mu[i-1] for the
             # first new window; its own (recomputed) column 0 is dropped.
-            df_loc, dg_loc = _delta_coefficients(
-                series_pd[:, old - 1:], role.mu_pd[:, old - 1:], m, pdtype
-            )
-            df_new, dg_new = df_loc[:, 1:], dg_loc[:, 1:]
-        role.df = np.concatenate([role.df, df_new.astype(sdtype)], axis=1)
-        role.dg = np.concatenate([role.dg, dg_new.astype(sdtype)], axis=1)
-        role.n_seg = n_seg
+            new = window_planes(role.series_pd[:, old - 1 :], m, policy)
+            role.planes = {
+                k: np.concatenate([plane, new[k][:, 1:]], axis=1)
+                for k, plane in role.planes.items()
+            }
         return n_seg - old
 
     def _sync(self, plan) -> _StreamModePlanes:
@@ -185,10 +164,8 @@ class StreamPlaneCache:
         self_join = plan.tq_layout is plan.tr_layout
         entry = self._modes.get(mode)
         if entry is None:
-            r = _StreamRole(spec.d, policy.precalc, policy.storage)
-            q = r if self_join else _StreamRole(
-                spec.d, policy.precalc, policy.storage
-            )
+            r = _StreamRole()
+            q = r if self_join else _StreamRole()
             entry = _StreamModePlanes(r, q)
             self._modes[mode] = entry
         new_r = self._extend_role(entry.r, plan.tr_layout, spec.m, policy)
@@ -217,8 +194,8 @@ class StreamPlaneCache:
             fixed.series_pd,
             [start],
             other.series_pd[:, c0 : c1 + m - 1],
-            fixed.mu_pd,
-            other.mu_pd[:, c0:c1],
+            fixed.planes["mu_pd"],
+            other.planes["mu_pd"][:, c0:c1],
             m,
             policy,
         )[0].astype(policy.storage)
@@ -232,43 +209,16 @@ class StreamPlaneCache:
             planes = self._sync(plan)
             r0, r1 = tile.row_start, tile.row_stop
             c0, c1 = tile.col_start, tile.col_stop
-            df_r = planes.r.df[:, r0:r1].copy()
-            dg_r = planes.r.dg[:, r0:r1].copy()
-            df_r[:, 0] = 0
-            dg_r[:, 0] = 0
-            df_q = planes.q.df[:, c0:c1].copy()
-            dg_q = planes.q.dg[:, c0:c1].copy()
-            df_q[:, 0] = 0
-            dg_q[:, 0] = 0
-            result = PrecalcResult(
-                m=m,
-                mu_r=planes.r.mu[:, r0:r1],
-                inv_r=planes.r.inv[:, r0:r1],
-                df_r=df_r,
-                dg_r=dg_r,
-                mu_q=planes.q.mu[:, c0:c1],
-                inv_q=planes.q.inv[:, c0:c1],
-                df_q=df_q,
-                dg_q=dg_q,
-                qt_row0=self._seed(planes.r, r0, planes.q, c0, c1, m, policy),
-                qt_col0=self._seed(planes.q, c0, planes.r, r0, r1, m, policy),
+            charge, planes.pending_charge = planes.pending_charge, None
+            return assemble_tile(
+                spec,
+                tile,
+                planes.r.planes,
+                planes.q.planes,
+                self._seed(planes.r, r0, planes.q, c0, c1, m, policy),
+                self._seed(planes.q, c0, planes.r, r0, r1, m, policy),
+                charge,
             )
-            cost = seed_cost(
-                tile.n_rows,
-                tile.n_cols,
-                spec.d,
-                m,
-                tile.n_rows + m - 1,
-                tile.n_cols + m - 1,
-                policy,
-                spec.config.launch,
-            )
-            saved = plane_cost(tile.n_rows, tile.n_cols, spec.d, policy).flops
-            if planes.pending_charge is not None:
-                cost = cost + planes.pending_charge
-                saved -= planes.pending_charge.flops
-                planes.pending_charge = None
-            return PreparedPrecalc(result=result, cost=cost, saved_flops=saved)
 
 
 @dataclass
@@ -373,7 +323,7 @@ class IncrementalMatrixProfile:
         self._next_tile_id = 0
         self._tiles: list[Tile] = []
         self._acc: ProfileAccumulator | None = None
-        self._planes = StreamPlaneCache() if self.config.amortize_precalc else None
+        self._planes = StreamPlaneCache()
         self.tile_retries = 0
         self.tiles_split = 0
         self.health_failures = 0

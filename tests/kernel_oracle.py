@@ -1,8 +1,13 @@
-"""Per-row reference execution of one tile: the oracle of the main loop.
+"""Reference executions the runtime paths are pinned against.
+
+:class:`PerTilePrecalc` restarts the whole precalculation per tile, the
+oracle of the plan-level plane caches.  :func:`run_tile_per_row` is the
+oracle of the main loop.
 
 The runtime main loop (:func:`repro.engine.backends.run_tile`) runs
-row-blocked super-steps with vectorised fast paths.  This module runs
-Pseudocode 1 the way the paper's kernels do, one reference row at a time:
+row-blocked super-steps with vectorised fast paths.
+:func:`run_tile_per_row` runs Pseudocode 1 the way the paper's kernels
+do, one reference row at a time:
 
 * ``dist_calc`` — the Eq. (1) QT recurrence, two ``rp_fma`` calls per row,
   then the QT -> distance chain in the compute dtype;
@@ -26,14 +31,40 @@ import numpy as np
 
 from repro.engine.backends import _KERNEL_LABELS, TileOutput
 from repro.kernels.dist_calc import DistCalcKernel
-from repro.kernels.precalc import PrecalcKernel
+from repro.kernels.precalc import PrecalcKernel, PreparedPrecalc
 from repro.kernels.sort_scan import SortScanKernel, fanin_inclusive_scan
 from repro.kernels.sort_scan_batch import BatchSortScanKernel
 from repro.kernels.update import INDEX_DTYPE, UpdateKernel
 from repro.precision.arithmetic import rp_fma
 from repro.precision.modes import DTYPE_MAX
 
-__all__ = ["bitonic_sort", "run_tile_per_row"]
+__all__ = ["PerTilePrecalc", "bitonic_sort", "run_tile_per_row"]
+
+
+class PerTilePrecalc:
+    """Per-tile precalculation: :meth:`PrecalcKernel.run` on each tile's
+    own device slices, the way the paper restarts it per tile.
+
+    Duck-types the ``prepare(plan, tile)`` contract of the plane caches
+    (:class:`~repro.engine.precalc_cache.PrecalcPlaneCache`,
+    :class:`~repro.streams.incremental.StreamPlaneCache`), so a test can
+    swap it into ``plan.precalc_cache``.  Diagonal self-join tiles hand
+    the kernel one array for both roles, as the backend's shared upload
+    does.  Every tile is charged its full precalculation and saves
+    nothing.
+    """
+
+    def prepare(self, plan, tile) -> PreparedPrecalc:
+        spec = plan.spec
+        m = spec.m
+        r0, r1 = tile.sample_range_rows(m)
+        c0, c1 = tile.sample_range_cols(m)
+        tr = np.ascontiguousarray(plan.tr_layout[:, r0:r1])
+        shared = plan.tq_layout is plan.tr_layout and (r0, r1) == (c0, c1)
+        tq = tr if shared else np.ascontiguousarray(plan.tq_layout[:, c0:c1])
+        kernel = PrecalcKernel(config=spec.config.launch, policy=spec.policy)
+        result = kernel.run(tr, tq, m)
+        return PreparedPrecalc(result=result, cost=kernel.cost, saved_flops=0.0)
 
 
 @lru_cache(maxsize=64)

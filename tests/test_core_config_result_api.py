@@ -46,7 +46,7 @@ class TestRunConfigSerialisation:
     def test_to_dict_round_trip(self):
         cfg = RunConfig(
             mode="FP16", device="V100", n_tiles=8, n_gpus=2, n_streams=4,
-            exclusion_zone=7, sort_strategy="batch", fast_path_1d=False,
+            exclusion_zone=7, sort_strategy="batch",
         )
         restored = RunConfig.from_dict(cfg.to_dict())
         assert restored == cfg
@@ -78,7 +78,6 @@ class TestRunConfigSerialisation:
             {"n_tiles": 2},
             {"exclusion_zone": 3},
             {"sort_strategy": "batch"},
-            {"fast_path_1d": False},
             {"device": "V100"},
         ],
     )

@@ -1,10 +1,10 @@
 """Amortised precalculation: plan-level plane cache, batched seeds, stats reuse.
 
-The amortisation layer is a pure performance feature on its default
-path: every tile's precalculation assembled from the plan-level plane
-cache must be *bit-identical* to what ``PrecalcKernel.run`` produces on
-that tile's device slices, for every precision mode (including the Kahan
-FP16C path), join type and tile geometry.  The opt-in FFT seed strategy
+The plan-level plane cache is the only runtime precalculation path:
+every tile's precalculation assembled from it must be *bit-identical* to
+what ``PrecalcKernel.run`` produces on that tile's device slices (the
+``PerTilePrecalc`` oracle), for every precision mode (including the
+Kahan FP16C path), join type and tile geometry.  The opt-in FFT seed strategy
 is the one deliberate numerical deviation and is pinned against the
 ``precision/errors.py`` dot-product bound instead.  Cost accounting is
 pinned too: seed work per tile, the one-off plane pass on exactly one
@@ -18,10 +18,13 @@ from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
 from repro.core.tiling import Tile
 from repro.engine import JobSpec
+from repro.engine.accumulate import ProfileAccumulator
+from repro.engine.backends import NumericBackend
+from repro.engine.dispatch import execute_plan
 from repro.gpu.kernel import KernelCost
+from repro.gpu.simulator import GPUSimulator
 from repro.kernels.layout import to_device_layout
 from repro.kernels.precalc import (
-    PrecalcKernel,
     fft_seed_qt_rows,
     naive_qt_row,
     plane_cost,
@@ -32,6 +35,7 @@ from repro.precision.errors import dot_product_error_bound
 from repro.precision.modes import PrecisionMode, policy_for
 from repro.reporting import render_precalc_savings
 from repro.service import PrecalcStatsCache
+from tests.kernel_oracle import PerTilePrecalc
 
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
 
@@ -51,16 +55,22 @@ def _spec_plan(rng, mode, ab, n_tiles, n=150, m=12, d=2, store=None, seed_shift=
 
 
 def _reference_precalc(plan, tile):
-    """What the pre-amortisation per-tile kernel computes for ``tile``."""
-    spec = plan.spec
-    m = spec.m
-    r0, r1 = tile.sample_range_rows(m)
-    c0, c1 = tile.sample_range_cols(m)
-    tr = np.ascontiguousarray(plan.tr_layout[:, r0:r1])
-    shared = plan.tq_layout is plan.tr_layout and (r0, r1) == (c0, c1)
-    tq = tr if shared else np.ascontiguousarray(plan.tq_layout[:, c0:c1])
-    kernel = PrecalcKernel(config=spec.config.launch, policy=spec.policy)
-    return kernel.run(tr, tq, m), kernel.cost
+    """What the per-tile kernel computes for ``tile``: result and cost."""
+    prepared = PerTilePrecalc().prepare(plan, tile)
+    return prepared.result, prepared.cost
+
+
+def _engine_run(reference, query, m, config, per_tile=False):
+    """Engine profile, index and saved flops of one job; ``per_tile``
+    swaps the :class:`PerTilePrecalc` oracle in for the plane cache."""
+    spec = JobSpec.from_arrays(reference, query, m, config)
+    plan = spec.plan()
+    if per_tile:
+        plan.precalc_cache = PerTilePrecalc()
+    sim = GPUSimulator(config.device, config.n_gpus, config.n_streams)
+    acc = ProfileAccumulator(spec.d, spec.n_q_seg, spec.policy)
+    execute_plan(plan, NumericBackend(), sim, accumulator=acc)
+    return acc.host_profile(), acc.host_index(), acc.precalc_saved_flops
 
 
 def _assert_results_identical(got, expected, label):
@@ -114,42 +124,27 @@ class TestPlaneBitIdentity:
 
 
 class TestFullProfileEquality:
-    """Engine output with amortisation on == off, for every mode."""
+    """Engine output with the plane cache == with the per-tile oracle."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_self_join_bitwise(self, rng, mode):
         ref = rng.normal(size=(260, 3)).cumsum(axis=0)
-        assert RunConfig().amortize_precalc  # amortisation is the default
-        on = compute_multi_tile(ref, None, 16, RunConfig(mode=mode, n_tiles=4))
-        off = compute_multi_tile(
-            ref, None, 16,
-            RunConfig(mode=mode, n_tiles=4, amortize_precalc=False),
-        )
-        assert np.array_equal(on.profile.view(np.uint8), off.profile.view(np.uint8))
-        assert np.array_equal(on.index, off.index)
-        assert off.precalc_saved_flops == 0.0
-        assert on.precalc_saved_flops > 0.0
+        cfg = RunConfig(mode=mode, n_tiles=4)
+        p_on, i_on, saved_on = _engine_run(ref, None, 16, cfg)
+        p_off, i_off, saved_off = _engine_run(ref, None, 16, cfg, per_tile=True)
+        assert np.array_equal(p_on.view(np.uint8), p_off.view(np.uint8))
+        assert np.array_equal(i_on, i_off)
+        assert saved_off == 0.0
+        assert saved_on > 0.0
 
     def test_ab_join_bitwise(self, rng):
         ref = rng.normal(size=(240, 2)).cumsum(axis=0)
         qry = rng.normal(size=(200, 2)).cumsum(axis=0)
-        on = compute_multi_tile(ref, qry, 12, RunConfig(mode="FP16C", n_tiles=6))
-        off = compute_multi_tile(
-            ref, qry, 12,
-            RunConfig(mode="FP16C", n_tiles=6, amortize_precalc=False),
-        )
-        assert np.array_equal(on.profile.view(np.uint8), off.profile.view(np.uint8))
-        assert np.array_equal(on.index, off.index)
-
-    def test_api_amortize_flag(self, rng):
-        from repro import matrix_profile
-
-        ref = rng.normal(size=(180, 2)).cumsum(axis=0)
-        r1 = matrix_profile(ref, m=12, mode="FP16", n_tiles=4)
-        r2 = matrix_profile(ref, m=12, mode="FP16", n_tiles=4,
-                            amortize_precalc=False)
-        assert np.array_equal(r1.profile.view(np.uint8), r2.profile.view(np.uint8))
-        assert np.array_equal(r1.index, r2.index)
+        cfg = RunConfig(mode="FP16C", n_tiles=6)
+        p_on, i_on, _ = _engine_run(ref, qry, 12, cfg)
+        p_off, i_off, _ = _engine_run(ref, qry, 12, cfg, per_tile=True)
+        assert np.array_equal(p_on.view(np.uint8), p_off.view(np.uint8))
+        assert np.array_equal(i_on, i_off)
 
 
 class TestCostAccounting:
@@ -298,19 +293,12 @@ class TestFFTStrategy:
             RunConfig(precalc_strategy="nope")
         with pytest.raises(ValueError, match="FP64 and FP32"):
             RunConfig(mode="FP16", precalc_strategy="fft")
-        with pytest.raises(ValueError, match="amortize_precalc"):
-            RunConfig(precalc_strategy="fft", amortize_precalc=False)
 
     def test_cache_key_semantics(self):
-        # amortize_precalc is bit-exact -> excluded from the result key;
-        # the fft strategy changes numerics -> included.
-        assert (RunConfig(amortize_precalc=False).cache_key()
-                == RunConfig().cache_key())
+        # The fft strategy changes numerics -> part of the result key.
         assert (RunConfig(precalc_strategy="fft").cache_key()
                 != RunConfig().cache_key())
-        d = RunConfig().to_dict()
-        assert d["amortize_precalc"] is True
-        assert d["precalc_strategy"] == "exact"
+        assert RunConfig().to_dict()["precalc_strategy"] == "exact"
 
 
 class TestStatsStore:
@@ -486,11 +474,9 @@ class TestReportingAndCli:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["profile", "x.csv", "-m", "16",
-             "--precalc-strategy", "fft", "--no-amortize-precalc"]
+            ["profile", "x.csv", "-m", "16", "--precalc-strategy", "fft"]
         )
         assert args.precalc_strategy == "fft"
-        assert args.no_amortize_precalc is True
 
     def test_api_fft_strategy(self, rng):
         from repro import matrix_profile

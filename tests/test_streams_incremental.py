@@ -25,6 +25,8 @@ from repro.streams import (
     StreamIngestService,
     TenantPolicy,
 )
+from repro.streams.incremental import StreamPlaneCache
+from tests.kernel_oracle import PerTilePrecalc
 
 MODES = ("FP64", "FP32", "Mixed", "FP16", "FP16C")
 
@@ -62,6 +64,32 @@ def _assert_bit_identical(got, want):
     np.testing.assert_array_equal(gi, wi)
 
 
+class _CheckedStreamPlanes:
+    """A :class:`StreamPlaneCache` whose every prepared tile is checked
+    against the :class:`PerTilePrecalc` oracle, field by field."""
+
+    FIELDS = (
+        "mu_r", "inv_r", "df_r", "dg_r",
+        "mu_q", "inv_q", "df_q", "dg_q",
+        "qt_row0", "qt_col0",
+    )
+
+    def __init__(self):
+        self.cache = StreamPlaneCache()
+        self.oracle = PerTilePrecalc()
+        self.tiles = 0
+
+    def prepare(self, plan, tile):
+        got = self.cache.prepare(plan, tile)
+        want = self.oracle.prepare(plan, tile).result
+        for name in self.FIELDS:
+            a, b = getattr(got.result, name), getattr(want, name)
+            assert a.dtype == b.dtype, f"{name} dtype, tile {tile}"
+            assert a.tobytes() == b.tobytes(), f"{name} bits, tile {tile}"
+        self.tiles += 1
+        return got
+
+
 class TestIncrementalBitIdentity:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=("singles", "bursts", "mixed"))
@@ -90,13 +118,12 @@ class TestIncrementalBitIdentity:
 
     @pytest.mark.parametrize("mode", ("FP64", "FP16C"))
     def test_plane_cache_matches_uncached(self, rng, mode):
-        """amortize_precalc=False recomputes planes per tile; the stream
+        """The per-tile oracle recomputes planes per tile; the stream
         cache must not perturb a single bit."""
         series = _series(rng, 90, 2)
         a = IncrementalMatrixProfile(12, RunConfig(mode=mode))
-        b = IncrementalMatrixProfile(
-            12, RunConfig(mode=mode, amortize_precalc=False)
-        )
+        b = IncrementalMatrixProfile(12, RunConfig(mode=mode))
+        b._planes = PerTilePrecalc()
         off = 0
         for step in (40, 1, 49):
             a.append(series[off : off + step])
@@ -104,6 +131,24 @@ class TestIncrementalBitIdentity:
             off += step
         _assert_bit_identical(a.profile(), b.profile())
         assert a.accumulator.precalc_saved_flops > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("ab", [False, True], ids=("self", "ab"))
+    def test_plane_cache_tiles_match_per_tile_fields(self, rng, mode, ab):
+        """Every stream tile's precalculation equals the per-tile oracle
+        field by field, across single-sample steps (one new window: the
+        overlap suffix is two windows long) and steps longer than m."""
+        checked = _CheckedStreamPlanes()
+        ref = _series(rng, 70, 2) if ab else None
+        inc = IncrementalMatrixProfile(12, RunConfig(mode=mode), reference=ref)
+        inc._planes = checked
+        series = _series(rng, 120, 2)
+        off = 0
+        for step in (5, 10, 1, 1, 13, 1, 30, 2, 57):
+            inc.append(series[off : off + step])
+            off += step
+        assert off == series.shape[0]
+        assert checked.tiles == len(inc.equivalent_tiles())
 
     def test_single_append_matches_one_shot(self, rng):
         """One big append equals constructing with initial=..."""
